@@ -30,7 +30,8 @@
 //!
 //! `--jobs N` fans the shared corpus-trimming pass (and the trace replay)
 //! out over `N` worker threads (results are byte-identical to a sequential
-//! run).
+//! run). An unknown id or a missing, non-numeric or zero `--jobs` prints a
+//! usage line and exits with status 2 before any experiment runs.
 
 use lambda_sim::metrics::{cdf, mean, median, percentile};
 use lambda_sim::trace::replay::render_metrics_json;
@@ -43,32 +44,59 @@ use trim_bench::harness::*;
 use trim_core::{invoke_with_fallback, FallbackInstanceState};
 use trim_profiler::ScoringMethod;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// The experiments `all` runs, in order.
+const ALL: [&str; 20] = [
+    "fig1", "table1", "fig2", "table2", "fig8", "fig9", "table3", "fig10", "fig11", "fig12",
+    "fig13", "fig14", "table4", "ext", "probe", "replay", "hazard", "vm", "memo", "slice",
+];
+
+/// CI smokes, run only when named.
+const SMOKES: [&str; 4] = ["vm-smoke", "replay-smoke", "memo-smoke", "slice-smoke"];
+
+const USAGE: &str = "usage: experiments [--jobs N] [all | <id>...]";
+
+/// Parse the command line into a worker count and the experiment ids to
+/// run, rejecting unknown ids and a missing, non-numeric or zero `--jobs`.
+fn parse_args(args: &[String]) -> Result<(usize, Vec<&str>), String> {
+    let parse_jobs = |value: Option<&str>| -> Result<usize, String> {
+        let value = value.ok_or("--jobs requires a value")?;
+        match value.parse::<usize>() {
+            Ok(jobs) if jobs > 0 => Ok(jobs),
+            _ => Err(format!(
+                "bad --jobs value `{value}` (expected a positive integer)"
+            )),
+        }
+    };
     let mut jobs = 1usize;
     let mut ids: Vec<&str> = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg == "--jobs" {
-            jobs = iter
-                .next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("--jobs requires a positive integer"));
+            jobs = parse_jobs(iter.next().map(String::as_str))?;
         } else if let Some(n) = arg.strip_prefix("--jobs=") {
-            jobs = n
-                .parse()
-                .unwrap_or_else(|_| panic!("--jobs requires a positive integer"));
-        } else {
+            jobs = parse_jobs(Some(n))?;
+        } else if arg == "all" || ALL.contains(&arg.as_str()) || SMOKES.contains(&arg.as_str()) {
             ids.push(arg.as_str());
+        } else {
+            return Err(format!("unknown experiment id `{arg}`"));
         }
     }
     if ids.is_empty() || ids.contains(&"all") {
-        ids = vec![
-            "fig1", "table1", "fig2", "table2", "fig8", "fig9", "table3", "fig10", "fig11",
-            "fig12", "fig13", "fig14", "table4", "ext", "probe", "replay", "hazard", "vm", "memo",
-            "slice",
-        ];
+        ids = ALL.to_vec();
     }
+    Ok((jobs, ids))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (jobs, ids) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("error: {msg}\n{USAGE}");
+            eprintln!("ids: {} {}", ALL.join(" "), SMOKES.join(" "));
+            std::process::exit(2);
+        }
+    };
 
     // Experiments that need trimmed results share one computation pass.
     let needs_results = ids.iter().any(|id| {
@@ -117,7 +145,7 @@ fn main() {
             "memo-smoke" => memo_smoke(),
             "slice" => slice_bench(),
             "slice-smoke" => slice_smoke(),
-            other => eprintln!("unknown experiment id `{other}`"),
+            other => unreachable!("`{other}` passed argument validation"),
         }
     }
 }

@@ -2,9 +2,9 @@
 //! subject to the oracle, then commit the rewritten module to the working
 //! registry.
 
-use crate::attributes::module_attributes;
+use crate::candidate::{Prober, Selection};
 use crate::oracle::{run_app_measured_opts, Execution, OracleSpec};
-use crate::probe_cache::{app_fingerprint, ProbeCache, ProbeKey};
+use crate::probe_cache::ProbeCache;
 use crate::rewrite::rewrite_module;
 use crate::TrimError;
 use pylite::{Engine, Registry};
@@ -213,73 +213,40 @@ pub fn debloat_module(
     must_keep: &BTreeSet<String>,
     options: &DebloatOptions,
 ) -> Result<ModuleReport, TrimError> {
-    let program = work.parse_module(module).map_err(TrimError::Parse)?;
-    let attrs = module_attributes(&program);
+    let prober =
+        Prober::new(work, module, app_source, spec, expected, options).map_err(TrimError::Parse)?;
+    let attrs = prober.index.attributes();
     let attrs_before = attrs.len();
     // Step 3 of §6.3: candidates = all attributes except the definitely
     // accessed ones (magic attributes are already excluded by extraction).
-    let fixed: Vec<String> = attrs
-        .iter()
-        .filter(|a| must_keep.contains(*a))
-        .cloned()
-        .collect();
-    let candidates: Vec<String> = attrs
-        .iter()
-        .filter(|a| !must_keep.contains(*a))
-        .cloned()
-        .collect();
-
-    let spent = Arc::new(AtomicU64::new(0));
-    let make_keep = {
-        let fixed = fixed.clone();
-        move |subset: &[String]| -> BTreeSet<String> {
-            fixed
-                .iter()
-                .cloned()
-                .chain(subset.iter().cloned())
-                .collect()
-        }
-    };
+    // DD searches attribute ids; names come back only for the report.
+    let (fixed, candidates): (Vec<u32>, Vec<u32>) =
+        (0..attrs_before as u32).partition(|&id| must_keep.contains(&attrs[id as usize]));
+    let keep_mask = |subset: &[u32]| prober.index.mask(fixed.iter().chain(subset).copied());
 
     // One probe = one copy-on-write overlay over the working registry: the
     // base's sources and parse results are shared (O(modules) pointer
-    // bumps), only the rewritten module gets a fresh entry. Verdicts are
-    // memoized in the cross-run probe cache when one is attached.
-    let app_fp = app_fingerprint(app_source, spec);
-    let probe = |keep: &BTreeSet<String>, base: &Registry, spent: &AtomicU64| -> bool {
-        let key = options
-            .probe_cache
-            .as_ref()
-            .map(|_| ProbeKey::new(base.fingerprint(), app_fp, module, keep.iter().cloned()));
-        if let (Some(cache), Some(key)) = (&options.probe_cache, &key) {
-            if let Some(verdict) = cache.get(key) {
-                return verdict;
-            }
-        }
-        let rewritten = rewrite_module(&program, keep);
-        let candidate_registry = base.with_module(module, pylite::unparse(&rewritten));
-        let (result, secs) = run_app_measured_opts(
-            &candidate_registry,
-            app_source,
-            spec,
-            options.engine,
-            options.init_snapshots,
+    // bumps), only the candidate module gets a fresh, pre-resolved entry.
+    // Verdicts are memoized in the cross-run probe cache when one is
+    // attached.
+    let spent = AtomicU64::new(0);
+    let probe = |subset: &[u32], base: &Registry| -> bool {
+        let keep = keep_mask(subset);
+        let (verdict, secs) = prober.probe(
+            base,
+            Selection::Attrs {
+                keep: &keep,
+                extra: &[],
+            },
         );
         spent.fetch_add((secs * 1e9) as u64, Ordering::Relaxed);
-        let verdict = match result {
-            Ok(actual) => actual.behavior_eq(expected),
-            Err(_) => false,
-        };
-        if let (Some(cache), Some(key)) = (&options.probe_cache, key) {
-            cache.insert(key, verdict);
-        }
         verdict
     };
 
     let dd_result = if options.threads > 1 {
         // Parallel probing: Registry is Send + Sync, so workers share the
-        // same COW base snapshot and run the identical overlay probe —
-        // no source snapshots, no per-probe re-parsing.
+        // same COW base snapshot, the same statement index and the
+        // identical overlay probe.
         if options.algorithm == Algorithm::Greedy {
             return Err(TrimError::Config(
                 "greedy minimization is sequential; use threads = 1 or Algorithm::Ddmin".to_owned(),
@@ -287,16 +254,14 @@ pub fn debloat_module(
         }
         let base = work.clone();
         let probe = &probe;
-        let make_keep = &make_keep;
-        let spent_nanos = &spent;
         let factory = move || {
             let base = base.clone();
-            Box::new(move |subset: &[String]| probe(&make_keep(subset), &base, spent_nanos))
-                as Box<dyn FnMut(&[String]) -> bool + Send>
+            Box::new(move |subset: &[u32]| probe(subset, &base))
+                as Box<dyn FnMut(&[u32]) -> bool + Send>
         };
         ddmin_parallel(&candidates, factory, options.threads, options.dd)
     } else {
-        let mut oracle = |subset: &[String]| probe(&make_keep(subset), work, &spent);
+        let mut oracle = |subset: &[u32]| probe(subset, work);
         match options.algorithm {
             Algorithm::Ddmin => ddmin_with(&candidates, &mut oracle, options.dd),
             Algorithm::Greedy => greedy_min(&candidates, &mut oracle),
@@ -304,13 +269,13 @@ pub fn debloat_module(
     };
 
     let debloat_secs = spent.load(Ordering::Relaxed) as f64 / 1e9;
+    let attrs = attrs.to_vec();
     match dd_result {
         Ok(result) => {
-            let survivors: BTreeSet<String> = result.minimized.iter().cloned().collect();
-            let keep: BTreeSet<String> = fixed.iter().cloned().chain(survivors).collect();
-            let rewritten = rewrite_module(&program, &keep);
+            let keep = keep_mask(&result.minimized);
+            let (kept, removed) = split_kept(&attrs, &keep);
             let original_source = work.source(module).expect("module has source").to_owned();
-            work.set_module(module, pylite::unparse(&rewritten));
+            commit(work, module, &kept);
             // Defense in depth: re-verify the committed module against the
             // oracle (the candidate that passed probing also passes here,
             // but this guards against any rewrite/commit divergence — the
@@ -335,16 +300,6 @@ pub fn debloat_module(
                     debloat_secs: debloat_secs + verify_secs,
                 });
             }
-            let kept: Vec<String> = attrs
-                .iter()
-                .filter(|a| keep.contains(*a))
-                .cloned()
-                .collect();
-            let removed: Vec<String> = attrs
-                .iter()
-                .filter(|a| !keep.contains(*a))
-                .cloned()
-                .collect();
             Ok(ModuleReport {
                 module: module.to_owned(),
                 attrs_before,
@@ -369,6 +324,25 @@ pub fn debloat_module(
             })
         }
     }
+}
+
+/// Split `attrs` into the kept and the removed names under `keep`, both in
+/// original order.
+pub(crate) fn split_kept(attrs: &[String], keep: &[bool]) -> (Vec<String>, Vec<String>) {
+    let names = |kept: bool| {
+        let chosen = attrs.iter().zip(keep).filter(|(_, k)| **k == kept);
+        chosen.map(|(name, _)| name.clone()).collect()
+    };
+    (names(true), names(false))
+}
+
+/// Commit the module keeping exactly the attributes `kept`: the rewriter's
+/// output, so trimmed sources and registry fingerprints are the same
+/// whichever path produced the keep set.
+pub(crate) fn commit(work: &mut Registry, module: &str, kept: &[String]) {
+    let program = work.parse_module(module).expect("probed module parses");
+    let keep: BTreeSet<String> = kept.iter().cloned().collect();
+    work.set_module(module, pylite::unparse(&rewrite_module(&program, &keep)));
 }
 
 #[cfg(test)]

@@ -14,12 +14,10 @@
 //! (the update needs something that was previously trimmed, or the oracle
 //! grew), fall back to the full search.
 
-use crate::attributes::module_attributes;
-use crate::debloater::{DebloatOptions, ModuleReport};
-use crate::oracle::{run_app_measured_opts, run_app_opts, Execution, OracleSpec};
+use crate::candidate::{Prober, Selection};
+use crate::debloater::{commit, split_kept, DebloatOptions, ModuleReport};
+use crate::oracle::{run_app_opts, Execution, OracleSpec};
 use crate::pipeline::TrimReport;
-use crate::probe_cache::{app_fingerprint, ProbeKey};
-use crate::rewrite::rewrite_module;
 use crate::slicer::{slice_modules, SliceReport};
 use crate::TrimError;
 use pylite::Registry;
@@ -138,7 +136,6 @@ pub fn retrim_with_log(
     };
     let full = trim_analysis::analyze_full(&app_program, registry, &analysis_options);
     let analysis = &full.analysis;
-    let app_fp = app_fingerprint(app_source, spec);
 
     let mut work = registry.clone();
     let mut modules = Vec::new();
@@ -149,9 +146,9 @@ pub fn retrim_with_log(
         if !work.contains(module) {
             continue;
         }
-        let program = work.parse_module(module).map_err(TrimError::Parse)?;
-        let attrs = module_attributes(&program);
-        let attr_set: BTreeSet<String> = attrs.iter().cloned().collect();
+        let prober = Prober::new(&work, module, app_source, spec, &before, options)
+            .map_err(TrimError::Parse)?;
+        let attrs = prober.index.attributes().to_vec();
         // Same recompute-on-work rule as the cold pipeline: committed trims
         // release the must-keeps their import lines induced.
         let must_keep = match options.analysis {
@@ -164,108 +161,64 @@ pub fn retrim_with_log(
         };
 
         // Probe the seed: previous kept set ∩ current attrs ∪ must-keep.
+        // Must-keep names the module does not bind still enter the probe's
+        // cache key, exactly as the named keep set would.
+        let index = &prober.index;
         let seed: BTreeSet<String> = prev_kept
-            .intersection(&attr_set)
+            .iter()
+            .filter(|a| index.id(a).is_some_and(|id| (id as usize) < attrs.len()))
             .cloned()
             .chain(must_keep.iter().cloned())
+            .collect();
+        let seed_mask = index.keep_mask(&seed);
+        let unbound: Vec<String> = seed
+            .iter()
+            .filter(|name| index.id(name).is_none())
+            .cloned()
             .collect();
         // A retrim probe is keyed exactly like a cold-pipeline probe: same
         // base-registry fingerprint, app fingerprint, module and keep-set.
         // An untouched module therefore answers its probes straight from a
         // shared [`crate::ProbeCache`] populated by the previous run.
-        let probe = |keep: &BTreeSet<String>, base: &Registry| -> (bool, f64) {
-            let key = options
-                .probe_cache
-                .as_ref()
-                .map(|_| ProbeKey::new(base.fingerprint(), app_fp, module, keep.iter().cloned()));
-            if let (Some(cache), Some(key)) = (&options.probe_cache, &key) {
-                if let Some(verdict) = cache.get(key) {
-                    return (verdict, 0.0);
-                }
-            }
-            let rewritten = rewrite_module(&program, keep);
-            let candidate = base.with_module(module, pylite::unparse(&rewritten));
-            let (result, secs) = run_app_measured_opts(
-                &candidate,
-                app_source,
-                spec,
-                options.engine,
-                options.init_snapshots,
-            );
-            let ok = match result {
-                Ok(actual) => actual.behavior_eq(&before),
-                Err(_) => false,
-            };
-            if let (Some(cache), Some(key)) = (&options.probe_cache, key) {
-                cache.insert(key, ok);
-            }
-            (ok, secs)
-        };
-        let (seed_ok, _) = probe(&seed, &work);
+        let (seed_ok, _) = prober.probe(
+            &work,
+            Selection::Attrs {
+                keep: &seed_mask,
+                extra: &unbound,
+            },
+        );
         oracle_invocations += 1;
 
-        let (candidates, fixed): (Vec<String>, Vec<String>) = if seed_ok {
+        // Fixed: the must-keep attributes, all inside the seed. DD searches
+        // the rest of the seed when it passed, else every other attribute.
+        if seed_ok {
             seeded_modules += 1;
-            // Search only inside the seed (minus must-keep).
-            (
-                attrs
-                    .iter()
-                    .filter(|a| seed.contains(*a) && !must_keep.contains(*a))
-                    .cloned()
-                    .collect(),
-                attrs
-                    .iter()
-                    .filter(|a| must_keep.contains(*a))
-                    .cloned()
-                    .collect(),
-            )
         } else {
             cold_modules += 1;
-            (
-                attrs
-                    .iter()
-                    .filter(|a| !must_keep.contains(*a))
-                    .cloned()
-                    .collect(),
-                attrs
-                    .iter()
-                    .filter(|a| must_keep.contains(*a))
-                    .cloned()
-                    .collect(),
-            )
-        };
+        }
+        let (fixed, candidates): (Vec<u32>, Vec<u32>) = (0..attrs.len() as u32)
+            .filter(|&id| !seed_ok || seed_mask[id as usize])
+            .partition(|&id| must_keep.contains(&attrs[id as usize]));
+        let keep_mask = |subset: &[u32]| index.mask(fixed.iter().chain(subset).copied());
 
         let mut spent = 0.0f64;
-        let mut oracle = |subset: &[String]| {
-            let keep: BTreeSet<String> = fixed
-                .iter()
-                .cloned()
-                .chain(subset.iter().cloned())
-                .collect();
-            let (ok, secs) = probe(&keep, &work);
+        let mut oracle = |subset: &[u32]| {
+            let keep = keep_mask(subset);
+            let (ok, secs) = prober.probe(
+                &work,
+                Selection::Attrs {
+                    keep: &keep,
+                    extra: &[],
+                },
+            );
             spent += secs;
             ok
         };
         let dd_result = ddmin_with(&candidates, &mut oracle, options.dd);
         match dd_result {
             Ok(result) => {
-                let keep: BTreeSet<String> = fixed
-                    .iter()
-                    .cloned()
-                    .chain(result.minimized.iter().cloned())
-                    .collect();
-                let rewritten = rewrite_module(&program, &keep);
-                work.set_module(module, pylite::unparse(&rewritten));
-                let kept: Vec<String> = attrs
-                    .iter()
-                    .filter(|a| keep.contains(*a))
-                    .cloned()
-                    .collect();
-                let removed: Vec<String> = attrs
-                    .iter()
-                    .filter(|a| !keep.contains(*a))
-                    .cloned()
-                    .collect();
+                let (kept, removed) = split_kept(&attrs, &keep_mask(&result.minimized));
+                commit(&mut work, module, &kept);
                 oracle_invocations += result.stats.oracle_invocations;
                 modules.push(ModuleReport {
                     module: module.clone(),

@@ -13,6 +13,7 @@
 //!
 //! * [`attributes`] — attribute-granularity decomposition of modules (§6.1);
 //! * [`rewrite`] — single-traversal AST rewriting to a kept attribute set;
+//! * [`candidate`] — per-run statement index that probes select from;
 //! * [`oracle`] — test-case execution and behavioral equivalence (§5.3);
 //! * [`debloater`] — per-module Delta Debugging with probe isolation (§6.3);
 //! * [`slicer`] — statement-level selective-init slicing of kept modules;
@@ -44,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod attributes;
+pub mod candidate;
 pub mod debloater;
 pub mod deployment;
 pub mod fallback;
@@ -58,6 +60,7 @@ pub mod slicer;
 use std::fmt;
 
 pub use attributes::{is_magic, module_attributes};
+pub use candidate::{Candidate, ModuleIndex};
 pub use debloater::{
     debloat_module, parse_engine, Algorithm, DebloatOptions, HazardMode, ModuleReport, ENGINE_TIERS,
 };

@@ -18,8 +18,9 @@
 //! body.
 
 use crate::attributes::module_attributes;
+use crate::candidate::{Prober, Selection};
 use crate::debloater::DebloatOptions;
-use crate::oracle::{run_app_measured_opts, Execution, OracleSpec};
+use crate::oracle::{Execution, OracleSpec};
 use crate::TrimError;
 use pylite::Registry;
 use std::collections::BTreeSet;
@@ -105,20 +106,14 @@ pub fn slice_modules(
         let mut secs = 0.0f64;
         let mut invocations = 0u64;
         // One probe = one copy-on-write overlay, exactly like a DD probe:
-        // the sliced source replaces the module, everything else is shared.
+        // the sliced module replaces the module, everything else is shared.
+        let prober = Prober::new(work, module, app_source, spec, expected, options)
+            .map_err(TrimError::Parse)?;
         let mut probe = |kept: &[usize], base: &Registry| -> bool {
-            let candidate =
-                base.with_module(module, pylite::unparse(&sliced_program(&program, kept)));
-            let (result, s) = run_app_measured_opts(
-                &candidate,
-                app_source,
-                spec,
-                options.engine,
-                options.init_snapshots,
-            );
+            let (verdict, s) = prober.probe(base, Selection::Stmts(kept));
             secs += s;
             invocations += 1;
-            matches!(&result, Ok(actual) if actual.behavior_eq(expected))
+            verdict
         };
 
         let mut refined = false;
@@ -268,11 +263,10 @@ mod tests {
         // call the probe path directly via a handcrafted candidate list is
         // not possible, so assert the refinement contract at the ddmax
         // level instead — the maximal droppable subset keeps seq and limit.
-        let probe = |kept: &[usize], base: &Registry| -> bool {
-            let cand = base.with_module("tricky", pylite::unparse(&sliced_program(&program, kept)));
-            let (result, _) = run_app_measured_opts(&cand, app, &spec(), pylite::Engine::Vm, true);
-            matches!(&result, Ok(actual) if actual.behavior_eq(&expected))
-        };
+        let spec = spec();
+        let options = DebloatOptions::default();
+        let prober = Prober::new(&work, "tricky", app, &spec, &expected, &options).unwrap();
+        let probe = |kept: &[usize], base: &Registry| prober.probe(base, Selection::Stmts(kept)).0;
         assert!(!probe(&slice.kept, &work), "narrow slice breaks the app");
         let droppable = slice.dropped();
         let total = slice.total;

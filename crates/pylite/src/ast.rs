@@ -478,6 +478,14 @@ pub fn unparse(program: &Program) -> String {
     out
 }
 
+/// Render one top-level statement. `unparse` of a program is the
+/// concatenation of this over its body.
+pub fn unparse_stmt(stmt: &Stmt) -> String {
+    let mut out = String::new();
+    write_stmt(&mut out, stmt, 0);
+    out
+}
+
 fn indent(out: &mut String, level: usize) {
     for _ in 0..level {
         out.push_str("    ");

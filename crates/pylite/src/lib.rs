@@ -47,7 +47,7 @@ pub mod resolved;
 pub mod snapshot;
 pub mod value;
 
-pub use ast::{unparse, Program, Stmt};
+pub use ast::{unparse, unparse_stmt, Program, Stmt};
 pub use bytecode::{compile_program, CodeObj};
 pub use cost::{CostModel, Meter};
 pub use intern::{Interner, Symbol, SymbolHashBuilder};

@@ -1162,6 +1162,8 @@ mod tests {
         let out = unparse(&p1);
         let p2 = parse(&out).unwrap();
         assert_eq!(p1, p2, "unparse output must reparse to an equal AST");
+        let by_stmt: String = p1.body.iter().map(crate::ast::unparse_stmt).collect();
+        assert_eq!(by_stmt, out, "a program prints as its statements in order");
     }
 
     #[test]

@@ -175,6 +175,10 @@ impl Registry {
         let name = name.into();
         let source: String = source.into();
         let entry = ModuleEntry::new(&name, source);
+        self.insert_entry(name, entry);
+    }
+
+    fn insert_entry(&mut self, name: String, entry: ModuleEntry) {
         if let Some(old) = self.modules.get(&name) {
             self.fingerprint = self.fingerprint.wrapping_sub(old.hash);
         }
@@ -196,6 +200,28 @@ impl Registry {
     pub fn with_module(&self, name: impl Into<String>, source: impl Into<String>) -> Registry {
         let mut overlay = self.clone();
         overlay.set_module(name, source);
+        overlay
+    }
+
+    /// [`with_module`](Registry::with_module) for a module whose resolved
+    /// tree the caller already holds: `resolved` must be what
+    /// [`resolve_module`](Registry::resolve_module) would produce for
+    /// `source` against this registry's interner. The source is hashed
+    /// exactly as `set_module` hashes it, so fingerprints (and every cache
+    /// keyed by them) cannot tell the two overlays apart; the parse slot
+    /// stays lazy.
+    #[must_use]
+    pub fn with_module_resolved(
+        &self,
+        name: impl Into<String>,
+        source: impl Into<Arc<str>>,
+        resolved: Arc<RProgram>,
+    ) -> Registry {
+        let name = name.into();
+        let entry = ModuleEntry::new(&name, source);
+        let _ = entry.resolved.set(Ok(resolved));
+        let mut overlay = self.clone();
+        overlay.insert_entry(name, entry);
         overlay
     }
 
@@ -548,6 +574,23 @@ mod tests {
         let sym = r.interner().lookup("alpha").unwrap();
         overlay.resolve_module("n").unwrap();
         assert_eq!(r.interner().lookup("alpha"), Some(sym));
+    }
+
+    #[test]
+    fn resolved_overlay_matches_plain_overlay() {
+        let mut r = Registry::new();
+        r.set_module("a", "x = 1\n");
+        r.set_module("b", "y = 2\n");
+        let source = "x = 9\n";
+        let resolved = Arc::new(resolve_program(&parse(source).unwrap(), r.interner()));
+        let plain = r.with_module("a", source);
+        let pre = r.with_module_resolved("a", source, resolved.clone());
+        assert_eq!(pre.fingerprint(), plain.fingerprint());
+        assert_eq!(pre.module_fingerprint("a"), plain.module_fingerprint("a"));
+        assert_eq!(pre, plain);
+        assert!(Arc::ptr_eq(&pre.resolve_module("a").unwrap(), &resolved));
+        assert_eq!(*pre.parse_module("a").unwrap(), parse(source).unwrap());
+        assert_eq!(r.source("a"), Some("x = 1\n"), "base untouched");
     }
 
     #[test]

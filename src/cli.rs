@@ -205,6 +205,65 @@ impl Args {
     }
 }
 
+/// Check that the application binds `handler` at its top level: a `def`,
+/// `class`, assignment, import or `for` target directly in the module body
+/// or inside a top-level `if`/`for`/`while`/`try` block. A star import may
+/// bind any name and passes.
+///
+/// # Errors
+///
+/// A message naming the handler and `app_path`, or the app's parse error.
+pub fn check_handler(app_path: &str, app_source: &str, handler: &str) -> Result<(), String> {
+    let program = pylite::parse(app_source).map_err(|e| format!("{app_path}: {e}"))?;
+    if binds_at_top_level(&program.body, handler) {
+        Ok(())
+    } else {
+        Err(format!(
+            "handler `{handler}` is not defined at the top level of {app_path} (pass --handler <NAME>)"
+        ))
+    }
+}
+
+fn binds_at_top_level(body: &[pylite::Stmt], name: &str) -> bool {
+    use pylite::ast::Expr;
+    fn target_binds(target: &Expr, name: &str) -> bool {
+        match target {
+            Expr::Name(n) => n == name,
+            Expr::Tuple(items) | Expr::List(items) => items.iter().any(|t| target_binds(t, name)),
+            _ => false,
+        }
+    }
+    body.iter().any(|stmt| match stmt {
+        pylite::Stmt::FuncDef(f) => f.name == name,
+        pylite::Stmt::ClassDef(c) => c.name == name,
+        pylite::Stmt::Assign { targets, .. } => targets.iter().any(|t| target_binds(t, name)),
+        pylite::Stmt::Import { items } => items.iter().any(|i| i.bound_name() == name),
+        pylite::Stmt::FromImport { names, .. } => names
+            .iter()
+            .any(|(n, alias)| n == "*" || alias.as_deref().unwrap_or(n) == name),
+        pylite::Stmt::For { targets, body, .. } => {
+            targets.iter().any(|t| t == name) || binds_at_top_level(body, name)
+        }
+        pylite::Stmt::While { body, .. } => binds_at_top_level(body, name),
+        pylite::Stmt::If { branches, orelse } => {
+            branches.iter().any(|(_, b)| binds_at_top_level(b, name))
+                || binds_at_top_level(orelse, name)
+        }
+        pylite::Stmt::Try {
+            body,
+            handlers,
+            orelse,
+            finalbody,
+        } => {
+            binds_at_top_level(body, name)
+                || handlers.iter().any(|h| binds_at_top_level(&h.body, name))
+                || binds_at_top_level(orelse, name)
+                || binds_at_top_level(finalbody, name)
+        }
+        _ => false,
+    })
+}
+
 /// Resolve an `--engine` string to a [`pylite::Engine`]. Thin wrapper over
 /// [`trim_core::parse_engine`] — the library owns the accepted tiers and
 /// the error message, so the CLI cannot drift from it.
@@ -298,6 +357,36 @@ mod tests {
         assert_eq!(args.get("k"), Some("5"));
         assert!(args.has_flag("wrap"));
         assert!(args.require("missing").is_err());
+    }
+
+    #[test]
+    fn handler_must_be_bound_at_top_level() {
+        let ok = [
+            "def handler(event, context):\n    return 1\n",
+            "from impl import run as handler\n",
+            "from impl import *\n",
+            "if True:\n    def handler(e, c):\n        return 1\nelse:\n    handler = None\n",
+            "try:\n    import handler\nexcept ImportError:\n    pass\n",
+            "handler, other = (None, None)\n",
+        ];
+        for app in ok {
+            assert_eq!(check_handler("app.py", app, "handler"), Ok(()), "{app}");
+        }
+        let missing = [
+            "def main(event, context):\n    return 1\n",
+            "def outer():\n    def handler(e, c):\n        return 1\n",
+            "class C:\n    handler = 1\n",
+        ];
+        for app in missing {
+            let err = check_handler("app.py", app, "handler").unwrap_err();
+            assert!(
+                err.contains("handler `handler`") && err.contains("app.py"),
+                "{err}"
+            );
+        }
+        assert!(check_handler("app.py", "def broken(:\n", "handler")
+            .unwrap_err()
+            .starts_with("app.py: "));
     }
 
     #[test]

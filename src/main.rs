@@ -10,7 +10,8 @@
 //! ```
 
 use lambda_trim::cli::{
-    load_registry, parse_engine, parse_oracle_file, parse_scoring, write_registry, Args,
+    check_handler, load_registry, parse_engine, parse_oracle_file, parse_scoring, write_registry,
+    Args,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -32,7 +33,8 @@ COMMANDS:
 COMMON OPTIONS:
     --app <FILE>        application source (init code + handler)
     --packages <DIR>    directory of .py modules (virtual site-packages)
-    --handler <NAME>    handler name                      [default: handler]
+    --handler <NAME>    handler name; trim, analyze and run require it
+                        to be bound at the app's top level [default: handler]
 
 trim:
     --oracle <FILE>     oracle spec: one event literal per line,
@@ -115,6 +117,14 @@ fn load_inputs(args: &Args) -> Result<(pylite::Registry, String, String), String
     Ok((registry, app_source, handler))
 }
 
+/// [`load_inputs`] for the commands that call the handler or analyze from
+/// it: `--handler` must name a top-level binding of the app.
+fn load_inputs_with_handler(args: &Args) -> Result<(pylite::Registry, String, String), String> {
+    let (registry, app_source, handler) = load_inputs(args)?;
+    check_handler(args.require("app")?, &app_source, &handler)?;
+    Ok((registry, app_source, handler))
+}
+
 fn debloat_options(args: &Args) -> Result<DebloatOptions, String> {
     let mut options = DebloatOptions::default();
     if let Some(k) = args.get("k") {
@@ -169,7 +179,7 @@ fn analysis_jobs(args: &Args) -> Result<usize, String> {
 }
 
 fn cmd_trim(args: &Args) -> Result<(), String> {
-    let (registry, app_source, handler) = load_inputs(args)?;
+    let (registry, app_source, handler) = load_inputs_with_handler(args)?;
     let oracle_path = args.require("oracle")?;
     let out_dir = args.require("out")?;
     let oracle_content =
@@ -296,7 +306,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
-    let (registry, app_source, handler) = load_inputs(args)?;
+    let (registry, app_source, handler) = load_inputs_with_handler(args)?;
     let jobs = analysis_jobs(args)?;
     let program = pylite::parse(&app_source).map_err(|e| e.to_string())?;
     let full = trim_analysis::analyze_full(
@@ -442,7 +452,7 @@ fn json_string(s: &str) -> String {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
-    let (registry, app_source, handler) = load_inputs(args)?;
+    let (registry, app_source, handler) = load_inputs_with_handler(args)?;
     let event = args.get("event").unwrap_or("{}").to_owned();
     let context = args.get("context").unwrap_or("None").to_owned();
     let spec = trim_core::OracleSpec {
