@@ -1,9 +1,9 @@
 //! Micro-benches for the Delta Debugging core: scaling with component
-//! count, the probe-cache ablation, and parallel probing.
+//! count and the probe-cache ablation.
 
 use std::hint::black_box;
 use trim_bench::micro::Runner;
-use trim_dd::{ddmin, ddmin_parallel, ddmin_with, DdOptions};
+use trim_dd::{ddmin, ddmin_with, DdOptions};
 
 /// A monotone oracle requiring `needed` components spread over the range.
 fn spread_oracle(n: u32, needed: usize) -> (Vec<u32>, Vec<u32>) {
@@ -40,41 +40,6 @@ fn main() {
             )
             .unwrap();
             black_box(r.stats.oracle_invocations)
-        });
-    }
-
-    let (items, required) = spread_oracle(1024, 10);
-    // Make each oracle call non-trivially expensive so parallelism matters.
-    let slow_oracle = move |s: &[u32]| {
-        let mut acc = 0u64;
-        for _ in 0..2_000 {
-            acc = acc
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(s.len() as u64);
-        }
-        black_box(acc);
-        required.iter().all(|x| s.contains(x))
-    };
-    {
-        let mut oracle = slow_oracle.clone();
-        runner.bench("ddmin/parallel/sequential", || {
-            black_box(ddmin(&items, &mut oracle).unwrap().minimized.len())
-        });
-    }
-    for threads in [2usize, 4, 8] {
-        runner.bench(&format!("ddmin/parallel/threads-{threads}"), || {
-            let oracle = slow_oracle.clone();
-            let r = ddmin_parallel(
-                &items,
-                move || {
-                    let o = oracle.clone();
-                    Box::new(move |s: &[u32]| o(s)) as Box<dyn FnMut(&[u32]) -> bool + Send>
-                },
-                threads,
-                DdOptions::default(),
-            )
-            .unwrap();
-            black_box(r.minimized.len())
         });
     }
 }

@@ -49,23 +49,4 @@ fn main() {
             black_box(report.attrs_removed())
         });
     }
-
-    {
-        let bench = trim_apps::app("dna-visualization").expect("dna app");
-        for threads in [1usize, 4] {
-            runner.bench(&format!("pipeline/parallel-dd/{threads}"), || {
-                let report = trim_app(
-                    &bench.registry,
-                    &bench.app_source,
-                    &bench.spec,
-                    &DebloatOptions {
-                        threads,
-                        ..DebloatOptions::default()
-                    },
-                )
-                .unwrap();
-                black_box(report.attrs_removed())
-            });
-        }
-    }
 }

@@ -53,13 +53,7 @@ pub fn compute_corpus(
     options: &DebloatOptions,
     jobs: usize,
 ) -> Vec<AppResult> {
-    if jobs <= 1 {
-        return benches
-            .into_iter()
-            .map(|bench| AppResult::compute(bench, options))
-            .collect();
-    }
-    let job_specs: Vec<CorpusJob> = benches
+    let corpus: Vec<CorpusJob> = benches
         .iter()
         .map(|bench| CorpusJob {
             name: bench.name.clone(),
@@ -68,7 +62,7 @@ pub fn compute_corpus(
             spec: bench.spec.clone(),
         })
         .collect();
-    let reports = trim_corpus_parallel(&job_specs, options, jobs);
+    let reports = trim_corpus_parallel(&corpus, options, jobs);
     benches
         .into_iter()
         .zip(reports)

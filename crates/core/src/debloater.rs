@@ -9,9 +9,8 @@ use crate::rewrite::rewrite_module;
 use crate::TrimError;
 use pylite::{Engine, Registry};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use trim_dd::{ddmin_parallel, ddmin_with, greedy_min, DdOptions, DdStats};
+use trim_dd::{ddmin_with, greedy_min, DdOptions, DdStats};
 
 /// Which minimization algorithm the debloater runs per module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,10 +46,7 @@ pub struct DebloatOptions {
     pub scoring: trim_profiler::ScoringMethod,
     /// Underlying DD options.
     pub dd: DdOptions,
-    /// Worker threads for DD probe evaluation (1 = the paper's sequential
-    /// algorithm; >1 = the §9 future-work parallelization).
-    pub threads: usize,
-    /// Minimization algorithm (parallel probing requires [`Algorithm::Ddmin`]).
+    /// Minimization algorithm.
     pub algorithm: Algorithm,
     /// Static-analysis coverage used to seed the must-keep exclusion sets
     /// (§5.1). Interprocedural (the default) yields larger exclusion sets
@@ -62,8 +58,8 @@ pub struct DebloatOptions {
     /// whose inputs have not changed. `None` disables cross-run caching.
     pub probe_cache: Option<Arc<ProbeCache>>,
     /// Worker threads for the sharded static-analysis fixpoint (1 = serial;
-    /// any value produces bit-identical analyses). Independent of
-    /// [`DebloatOptions::threads`], which parallelizes DD probing.
+    /// any value produces bit-identical analyses). DD probes always run
+    /// sequentially, as in Algorithm 1.
     pub jobs: usize,
     /// Cross-run static-analysis summary cache. Share one
     /// [`trim_analysis::summary::SummaryCache`] across retrims so registry
@@ -102,7 +98,6 @@ impl PartialEq for DebloatOptions {
         self.k == other.k
             && self.scoring == other.scoring
             && self.dd == other.dd
-            && self.threads == other.threads
             && self.algorithm == other.algorithm
             && self.analysis == other.analysis
             && self.jobs == other.jobs
@@ -129,7 +124,6 @@ impl Default for DebloatOptions {
             k: 20,
             scoring: trim_profiler::ScoringMethod::Combined,
             dd: DdOptions::default(),
-            threads: 1,
             algorithm: Algorithm::Ddmin,
             analysis: trim_analysis::AnalysisMode::default(),
             probe_cache: None,
@@ -228,47 +222,27 @@ pub fn debloat_module(
     // base's sources and parse results are shared (O(modules) pointer
     // bumps), only the candidate module gets a fresh, pre-resolved entry.
     // Verdicts are memoized in the cross-run probe cache when one is
-    // attached.
-    let spent = AtomicU64::new(0);
-    let probe = |subset: &[u32], base: &Registry| -> bool {
+    // attached. Probe time sums as truncated nanoseconds, which reports
+    // (and perfbench's traced recomposition of this loop) depend on.
+    let mut spent_nanos = 0u64;
+    let mut oracle = |subset: &[u32]| -> bool {
         let keep = keep_mask(subset);
         let (verdict, secs) = prober.probe(
-            base,
+            work,
             Selection::Attrs {
                 keep: &keep,
                 extra: &[],
             },
         );
-        spent.fetch_add((secs * 1e9) as u64, Ordering::Relaxed);
+        spent_nanos += (secs * 1e9) as u64;
         verdict
     };
-
-    let dd_result = if options.threads > 1 {
-        // Parallel probing: Registry is Send + Sync, so workers share the
-        // same COW base snapshot, the same statement index and the
-        // identical overlay probe.
-        if options.algorithm == Algorithm::Greedy {
-            return Err(TrimError::Config(
-                "greedy minimization is sequential; use threads = 1 or Algorithm::Ddmin".to_owned(),
-            ));
-        }
-        let base = work.clone();
-        let probe = &probe;
-        let factory = move || {
-            let base = base.clone();
-            Box::new(move |subset: &[u32]| probe(subset, &base))
-                as Box<dyn FnMut(&[u32]) -> bool + Send>
-        };
-        ddmin_parallel(&candidates, factory, options.threads, options.dd)
-    } else {
-        let mut oracle = |subset: &[u32]| probe(subset, work);
-        match options.algorithm {
-            Algorithm::Ddmin => ddmin_with(&candidates, &mut oracle, options.dd),
-            Algorithm::Greedy => greedy_min(&candidates, &mut oracle),
-        }
+    let dd_result = match options.algorithm {
+        Algorithm::Ddmin => ddmin_with(&candidates, &mut oracle, options.dd),
+        Algorithm::Greedy => greedy_min(&candidates, &mut oracle),
     };
 
-    let debloat_secs = spent.load(Ordering::Relaxed) as f64 / 1e9;
+    let debloat_secs = spent_nanos as f64 / 1e9;
     let attrs = attrs.to_vec();
     match dd_result {
         Ok(result) => {
@@ -430,66 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_debloat_matches_sequential() {
-        let spec = spec();
-        let mut seq_work = torch_registry();
-        let expected = run_app(&seq_work, APP, &spec).unwrap();
-        let seq = debloat_module(
-            &mut seq_work,
-            APP,
-            &spec,
-            &expected,
-            "torch",
-            &BTreeSet::new(),
-            &DebloatOptions::default(),
-        )
-        .unwrap();
-        let mut par_work = torch_registry();
-        let par = debloat_module(
-            &mut par_work,
-            APP,
-            &spec,
-            &expected,
-            "torch",
-            &BTreeSet::new(),
-            &DebloatOptions {
-                threads: 4,
-                ..DebloatOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(seq.kept, par.kept);
-        assert_eq!(seq.removed, par.removed);
-        assert_eq!(seq_work.source("torch"), par_work.source("torch"));
-    }
-
-    #[test]
-    fn greedy_with_parallel_probes_is_a_config_error() {
-        let mut work = torch_registry();
-        let expected = run_app(&work, APP, &spec()).unwrap();
-        let err = debloat_module(
-            &mut work,
-            APP,
-            &spec(),
-            &expected,
-            "torch",
-            &BTreeSet::new(),
-            &DebloatOptions {
-                threads: 4,
-                algorithm: Algorithm::Greedy,
-                ..DebloatOptions::default()
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, TrimError::Config(_)));
-        assert_eq!(
-            work.source("torch"),
-            torch_registry().source("torch"),
-            "rejected configuration must not touch the registry"
-        );
-    }
-
-    #[test]
     fn probe_cache_answers_repeat_runs_without_new_probes() {
         let cache = crate::probe_cache::ProbeCache::shared();
         let options = DebloatOptions {
@@ -532,49 +446,6 @@ mod tests {
             "warm run must not miss the probe cache"
         );
         assert!(cache.hits() > 0);
-    }
-
-    #[test]
-    fn parallel_debloat_shares_the_probe_cache() {
-        let cache = crate::probe_cache::ProbeCache::shared();
-        let spec = spec();
-        let mut seq_work = torch_registry();
-        let expected = run_app(&seq_work, APP, &spec).unwrap();
-        let seq = debloat_module(
-            &mut seq_work,
-            APP,
-            &spec,
-            &expected,
-            "torch",
-            &BTreeSet::new(),
-            &DebloatOptions {
-                probe_cache: Some(cache.clone()),
-                ..DebloatOptions::default()
-            },
-        )
-        .unwrap();
-        let hits_before = cache.hits();
-        let mut par_work = torch_registry();
-        let par = debloat_module(
-            &mut par_work,
-            APP,
-            &spec,
-            &expected,
-            "torch",
-            &BTreeSet::new(),
-            &DebloatOptions {
-                threads: 4,
-                probe_cache: Some(cache.clone()),
-                ..DebloatOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(seq.kept, par.kept);
-        assert_eq!(seq_work.source("torch"), par_work.source("torch"));
-        assert!(
-            cache.hits() > hits_before,
-            "parallel workers must reuse sequential verdicts"
-        );
     }
 
     #[test]

@@ -89,8 +89,8 @@ pub enum TrimError {
     /// The unmodified application failed its own oracle run — DD requires
     /// the original program to satisfy the oracle.
     Baseline(pylite::PyErr),
-    /// The requested option combination is unsupported (e.g. greedy
-    /// minimization with parallel probe workers).
+    /// The requested options are unsupported (e.g. zero analysis jobs or
+    /// an unknown engine name).
     Config(String),
 }
 

@@ -264,34 +264,35 @@ pub struct CorpusJob {
     pub spec: OracleSpec,
 }
 
-/// Trim every application of a corpus on a pool of `threads` worker
-/// threads, one app per worker at a time (apps are independent; `Registry`
-/// is `Send + Sync`, so no snapshotting is needed).
+/// Trim every application of `corpus` on a pool of `jobs` worker threads,
+/// one app per worker at a time (apps are independent; `Registry` is
+/// `Send + Sync`, so no snapshotting is needed). `jobs <= 1` trims the apps
+/// in order on the calling thread.
 ///
-/// Results come back in job order and are **deterministic**: each app's
+/// Results come back in corpus order and are **deterministic**: each app's
 /// trim is the same whatever thread ran it, so the output is byte-identical
-/// to calling [`trim_app`] sequentially over the same jobs.
+/// to calling [`trim_app`] sequentially over the same apps.
 pub fn trim_corpus_parallel(
-    jobs: &[CorpusJob],
+    corpus: &[CorpusJob],
     options: &DebloatOptions,
-    threads: usize,
+    jobs: usize,
 ) -> Vec<Result<TrimReport, TrimError>> {
-    let threads = threads.max(1).min(jobs.len().max(1));
-    if threads <= 1 {
-        return jobs
+    let jobs = jobs.max(1).min(corpus.len().max(1));
+    if jobs <= 1 {
+        return corpus
             .iter()
             .map(|j| trim_app(&j.registry, &j.app_source, &j.spec, options))
             .collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
     let mut results: Vec<Option<Result<TrimReport, TrimError>>> = Vec::new();
-    results.resize_with(jobs.len(), || None);
+    results.resize_with(corpus.len(), || None);
     let results = std::sync::Mutex::new(results);
     std::thread::scope(|scope| {
-        for _ in 0..threads {
+        for _ in 0..jobs {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
+                let Some(job) = corpus.get(i) else { break };
                 let report = trim_app(&job.registry, &job.app_source, &job.spec, options);
                 results.lock().expect("corpus results poisoned")[i] = Some(report);
             });

@@ -12,11 +12,7 @@
 //! * **probe caching** — candidate subsets are memoized so the quadratic
 //!   tail of ddmin never re-runs an oracle on a seen subset;
 //! * **oracle accounting** — invocation/cache-hit counters for the
-//!   scalability experiments;
-//! * **parallel probing** ([`ddmin_parallel`]) — the paper's §9 future-work
-//!   item: each round's candidate subsets are evaluated concurrently, with
-//!   a first-index tie-break that keeps the result bit-identical to the
-//!   sequential algorithm.
+//!   scalability experiments.
 //!
 //! # Example
 //!
@@ -255,185 +251,6 @@ pub fn is_one_minimal<T: Clone>(subset: &[T], oracle: &mut dyn FnMut(&[T]) -> bo
     true
 }
 
-/// Parallel ddmin (§9 future work): evaluates each round's candidate subsets
-/// concurrently on `threads` worker threads, then applies the same
-/// first-passing-index rule as the sequential algorithm — results are
-/// identical to [`ddmin_with`], only wall-clock differs.
-///
-/// Honors the same [`DdOptions`] as the sequential path: the subset cache
-/// can be toggled, and on `max_oracle_invocations` exhaustion the best
-/// passing subset found so far is returned (sound but possibly not
-/// 1-minimal). Candidates past the budget are treated as failing, exactly
-/// like the sequential runner.
-///
-/// The oracle must be buildable per worker thread via `oracle_factory`
-/// (λ-trim builds a fresh isolated interpreter per probe anyway). Worker
-/// oracles may borrow from the caller's stack (`'env`): probing runs on
-/// scoped threads.
-///
-/// # Errors
-///
-/// [`DdError::OracleRejectsWhole`] if the oracle rejects the full list.
-pub fn ddmin_parallel<'env, T, F>(
-    items: &[T],
-    oracle_factory: F,
-    threads: usize,
-    options: DdOptions,
-) -> Result<DdResult<T>, DdError>
-where
-    T: Clone + Sync + Send,
-    F: Fn() -> Box<dyn FnMut(&[T]) -> bool + Send + 'env> + Sync,
-{
-    let threads = threads.max(1);
-    let mut stats = DdStats::default();
-    let mut cache: HashMap<Vec<u32>, bool> = HashMap::new();
-    let mut budget_exhausted = false;
-    let materialize =
-        |idx: &[u32]| -> Vec<T> { idx.iter().map(|&i| items[i as usize].clone()).collect() };
-
-    // Evaluate a batch of candidates (by index lists) in parallel; returns
-    // verdicts in batch order. Oracle invocations are charged as results
-    // are collected — never up front — so an aborted batch cannot
-    // overcount.
-    let eval_batch = |batch: &[Vec<u32>],
-                      stats: &mut DdStats,
-                      cache: &mut HashMap<Vec<u32>, bool>,
-                      budget_exhausted: &mut bool|
-     -> Vec<bool> {
-        let mut verdicts: Vec<Option<bool>> = vec![None; batch.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, idx) in batch.iter().enumerate() {
-            if options.cache {
-                if let Some(&v) = cache.get(idx) {
-                    stats.cache_hits += 1;
-                    verdicts[i] = Some(v);
-                    continue;
-                }
-            }
-            pending.push(i);
-        }
-        // Budget: only dispatch as many probes as the cap allows; the rest
-        // fail, mirroring the sequential runner's over-budget behavior.
-        if options.max_oracle_invocations > 0 {
-            let remaining = options
-                .max_oracle_invocations
-                .saturating_sub(stats.oracle_invocations) as usize;
-            if pending.len() > remaining {
-                *budget_exhausted = true;
-                for &i in &pending[remaining..] {
-                    verdicts[i] = Some(false);
-                }
-                pending.truncate(remaining);
-            }
-        }
-        if !pending.is_empty() {
-            // Snapshot-aware probe ordering: schedule the largest keep-sets
-            // first and deal them round-robin across workers. Large subsets
-            // execute the widest import cones, so they populate the shared
-            // caches (probe verdicts, init snapshots) that the smaller
-            // subsets then reuse as warm prefixes — and spreading sizes
-            // round-robin balances per-worker wall time. Verdicts are
-            // index-collected, so scheduling order never changes results.
-            let mut by_size: Vec<usize> = pending.clone();
-            by_size.sort_by_key(|&i| std::cmp::Reverse(batch[i].len()));
-            let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); threads.min(by_size.len())];
-            for (slot, i) in by_size.into_iter().enumerate() {
-                chunks[slot % threads].push(i);
-            }
-            let mut collected: Vec<(usize, bool)> = Vec::with_capacity(pending.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|chunk| {
-                        let factory = &oracle_factory;
-                        let materialize = &materialize;
-                        scope.spawn(move || {
-                            let mut oracle = factory();
-                            chunk
-                                .into_iter()
-                                .map(|i| {
-                                    let m = materialize(&batch[i]);
-                                    (i, oracle(&m))
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    collected.extend(h.join().expect("dd worker thread panicked"));
-                }
-            });
-            for (i, v) in collected {
-                stats.oracle_invocations += 1;
-                if options.cache {
-                    cache.insert(batch[i].clone(), v);
-                }
-                verdicts[i] = Some(v);
-            }
-        }
-        verdicts
-            .into_iter()
-            .map(|v| v.expect("all candidates evaluated"))
-            .collect()
-    };
-
-    let all: Vec<u32> = (0..items.len() as u32).collect();
-    let whole = eval_batch(
-        std::slice::from_ref(&all),
-        &mut stats,
-        &mut cache,
-        &mut budget_exhausted,
-    );
-    if !whole[0] {
-        return Err(DdError::OracleRejectsWhole);
-    }
-    let mut current = all;
-    let mut n = 2usize;
-    'outer: while current.len() >= 2 && !budget_exhausted {
-        stats.iterations += 1;
-        let parts = partitions(current.len(), n);
-        let part_sets: Vec<Vec<u32>> = parts.iter().map(|&(s, e)| current[s..e].to_vec()).collect();
-        let verdicts = eval_batch(&part_sets, &mut stats, &mut cache, &mut budget_exhausted);
-        if let Some(i) = verdicts.iter().position(|&v| v) {
-            current.clone_from(&part_sets[i]);
-            n = 2;
-            continue 'outer;
-        }
-        if n > 2 {
-            let comp_sets: Vec<Vec<u32>> = parts
-                .iter()
-                .map(|&(s, e)| {
-                    current[..s]
-                        .iter()
-                        .chain(current[e..].iter())
-                        .copied()
-                        .collect()
-                })
-                .collect();
-            let verdicts = eval_batch(&comp_sets, &mut stats, &mut cache, &mut budget_exhausted);
-            if let Some(i) = verdicts.iter().position(|&v| v) {
-                current.clone_from(&comp_sets[i]);
-                n = (n - 1).max(2);
-                continue 'outer;
-            }
-        }
-        if n >= current.len() {
-            break;
-        }
-        n = (2 * n).min(current.len());
-    }
-    if current.len() == 1 && !budget_exhausted {
-        let empty = eval_batch(&[Vec::new()], &mut stats, &mut cache, &mut budget_exhausted);
-        if empty[0] {
-            current.clear();
-        }
-    }
-    Ok(DdResult {
-        minimized: materialize(&current),
-        stats,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,104 +367,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let items: Vec<u32> = (0..48).collect();
-        let needed = [2u32, 9, 33, 40, 47];
-        let mut seq_oracle = |s: &[u32]| needed.iter().all(|r| s.contains(r));
-        let seq = ddmin(&items, &mut seq_oracle).unwrap();
-        let par = ddmin_parallel(
-            &items,
-            || {
-                Box::new(move |s: &[u32]| needed.iter().all(|r| s.contains(r)))
-                    as Box<dyn FnMut(&[u32]) -> bool + Send>
-            },
-            4,
-            DdOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(seq.minimized, par.minimized);
-    }
-
-    #[test]
-    fn parallel_rejecting_oracle_is_an_error() {
-        let items = vec![1, 2, 3];
-        let err = ddmin_parallel(
-            &items,
-            || Box::new(|_: &[i32]| false) as Box<dyn FnMut(&[i32]) -> bool + Send>,
-            2,
-            DdOptions::default(),
-        )
-        .unwrap_err();
-        assert_eq!(err, DdError::OracleRejectsWhole);
-    }
-
-    #[test]
-    fn parallel_budget_exhaustion_still_returns_passing_subset() {
-        let items: Vec<u32> = (0..128).collect();
-        let oracle = |s: &[u32]| s.contains(&7);
-        let r = ddmin_parallel(
-            &items,
-            || Box::new(|s: &[u32]| s.contains(&7)) as Box<dyn FnMut(&[u32]) -> bool + Send>,
-            4,
-            DdOptions {
-                max_oracle_invocations: 5,
-                ..DdOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(oracle(&r.minimized), "budget-capped result still passes");
-        assert!(r.stats.oracle_invocations <= 5);
-    }
-
-    #[test]
-    fn parallel_without_cache_matches_cached_result() {
-        let items: Vec<u32> = (0..48).collect();
-        let factory = || {
-            Box::new(|s: &[u32]| s.contains(&11) && s.contains(&37))
-                as Box<dyn FnMut(&[u32]) -> bool + Send>
-        };
-        let cached = ddmin_parallel(&items, factory, 3, DdOptions::default()).unwrap();
-        let uncached = ddmin_parallel(
-            &items,
-            factory,
-            3,
-            DdOptions {
-                cache: false,
-                ..DdOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(cached.minimized, uncached.minimized);
-        assert_eq!(uncached.stats.cache_hits, 0);
-        assert!(cached.stats.oracle_invocations <= uncached.stats.oracle_invocations);
-    }
-
-    #[test]
-    fn parallel_invocations_are_counted_on_collection() {
-        // Every dispatched probe is counted exactly once: the total equals
-        // the number of distinct subsets the oracle actually saw.
+    fn invocations_equal_distinct_subsets_the_oracle_saw() {
+        // With the cache on, each subset reaches the oracle once: the
+        // invocation count is exactly the number of distinct subsets run,
+        // and every repeat is a cache hit instead.
         use std::collections::HashSet;
-        use std::sync::{Arc, Mutex};
-        let seen: Arc<Mutex<HashSet<Vec<u32>>>> = Arc::new(Mutex::new(HashSet::new()));
+        let mut seen: HashSet<Vec<u32>> = HashSet::new();
+        let mut runs = 0u64;
         let items: Vec<u32> = (0..16).collect();
-        let r = ddmin_parallel(
+        let r = ddmin_with(
             &items,
-            || {
-                let seen = Arc::clone(&seen);
-                Box::new(move |s: &[u32]| {
-                    seen.lock().unwrap().insert(s.to_vec());
-                    s.contains(&3)
-                }) as Box<dyn FnMut(&[u32]) -> bool + Send>
+            &mut |s: &[u32]| {
+                runs += 1;
+                seen.insert(s.to_vec());
+                s.contains(&3) && s.contains(&12)
             },
-            4,
             DdOptions::default(),
         )
         .unwrap();
-        assert_eq!(
-            r.stats.oracle_invocations,
-            seen.lock().unwrap().len() as u64,
-            "invocation count must equal the oracle's actually-run probes"
-        );
+        assert_eq!(r.minimized, vec![3, 12]);
+        assert_eq!(r.stats.oracle_invocations, runs);
+        assert_eq!(runs, seen.len() as u64, "no subset ran twice");
+        assert!(r.stats.cache_hits > 0, "repeats were answered by the cache");
     }
 
     #[test]

@@ -203,6 +203,35 @@ impl Args {
         self.get(key)
             .ok_or_else(|| format!("missing required option --{key}"))
     }
+
+    /// Check the command line against what a command reads: `values` are
+    /// its `--key value` options, `switches` its bare `--flag`s. Commands
+    /// call this before any work, so a misspelled option fails instead of
+    /// silently running with defaults.
+    ///
+    /// # Errors
+    ///
+    /// A message naming an option the command does not take, a value
+    /// option given without a value, or a switch given one.
+    pub fn check_options(&self, values: &[&str], switches: &[&str]) -> Result<(), String> {
+        for (key, value) in &self.options {
+            if switches.contains(&key.as_str()) {
+                return Err(format!("--{key} takes no value (got `{value}`)"));
+            }
+            if !values.contains(&key.as_str()) {
+                return Err(format!("unknown option --{key}"));
+            }
+        }
+        for flag in &self.flags {
+            if values.contains(&flag.as_str()) {
+                return Err(format!("option --{flag} needs a value"));
+            }
+            if !switches.contains(&flag.as_str()) {
+                return Err(format!("unknown option --{flag}"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Check that the application binds `handler` at its top level: a `def`,
@@ -357,6 +386,38 @@ mod tests {
         assert_eq!(args.get("k"), Some("5"));
         assert!(args.has_flag("wrap"));
         assert!(args.require("missing").is_err());
+    }
+
+    #[test]
+    fn option_check_names_what_the_command_does_not_take() {
+        let check = |raw: &[&str]| {
+            Args::parse(raw.iter().map(|s| (*s).to_owned())).check_options(&["k", "app"], &["wrap"])
+        };
+        assert_eq!(
+            check(&["trim", "--app", "a.py", "--k", "5", "--wrap"]),
+            Ok(())
+        );
+        assert_eq!(check(&["trim"]), Ok(()));
+        assert_eq!(
+            check(&["trim", "--thread", "2"]).unwrap_err(),
+            "unknown option --thread"
+        );
+        assert_eq!(
+            check(&["trim", "--wrpa"]).unwrap_err(),
+            "unknown option --wrpa"
+        );
+        assert_eq!(
+            check(&["trim", "--k", "--wrap"]).unwrap_err(),
+            "option --k needs a value"
+        );
+        assert_eq!(
+            check(&["trim", "--app"]).unwrap_err(),
+            "option --app needs a value"
+        );
+        assert_eq!(
+            check(&["trim", "--wrap", "yes"]).unwrap_err(),
+            "--wrap takes no value (got `yes`)"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! |---|---|
 //! | [`pylite`] | Python-subset interpreter with instrumentable imports |
 //! | [`lambda_sim`] | serverless platform simulator: pricing, cold/warm starts, C/R, traces |
-//! | [`trim_dd`] | generic Delta Debugging (ddmin + parallel variant) |
+//! | [`trim_dd`] | generic Delta Debugging (ddmin, greedy, ddmax) |
 //! | [`trim_analysis`] | PyCG-style static analyzer |
 //! | [`trim_profiler`] | marginal-cost profiler + module ranking |
 //! | [`trim_core`] | the λ-trim pipeline: analyze → profile → debloat → deploy |

@@ -36,13 +36,15 @@ COMMON OPTIONS:
     --handler <NAME>    handler name; trim, analyze and run require it
                         to be bound at the app's top level [default: handler]
 
+Every command fails before doing any work on an option it does not take
+or on a value option given without a value.
+
 trim:
     --oracle <FILE>     oracle spec: one event literal per line,
                         optionally `EVENT || CONTEXT`
     --out <DIR>         output directory for trimmed packages
     --k <N>             modules to debloat                [default: 20]
     --scoring <M>       combined|time|memory|random      [default: combined]
-    --threads <N>       parallel DD probe workers         [default: 1]
     --jobs <N>          parallel static-analysis workers  [default: 1]
     --algorithm <A>     ddmin|greedy                      [default: ddmin]
     --engine <E>        oracle execution tier: vm|tree    [default: vm]
@@ -106,6 +108,9 @@ fn main() -> ExitCode {
     }
 }
 
+/// The value options every command that loads an app reads.
+const INPUT_OPTIONS: &[&str] = &["app", "packages", "handler"];
+
 fn load_inputs(args: &Args) -> Result<(pylite::Registry, String, String), String> {
     let app_path = args.require("app")?;
     let packages = args.require("packages")?;
@@ -125,6 +130,9 @@ fn load_inputs_with_handler(args: &Args) -> Result<(pylite::Registry, String, St
     Ok((registry, app_source, handler))
 }
 
+/// The value options [`debloat_options`] reads; it also reads `--no-slice`.
+const DEBLOAT_OPTIONS: &[&str] = &["k", "scoring", "jobs", "algorithm", "engine"];
+
 fn debloat_options(args: &Args) -> Result<DebloatOptions, String> {
     let mut options = DebloatOptions::default();
     if let Some(k) = args.get("k") {
@@ -133,12 +141,7 @@ fn debloat_options(args: &Args) -> Result<DebloatOptions, String> {
     if let Some(s) = args.get("scoring") {
         options.scoring = parse_scoring(s)?;
     }
-    if let Some(t) = args.get("threads") {
-        options.threads = t
-            .parse()
-            .map_err(|_| format!("bad --threads value `{t}`"))?;
-    }
-    options.jobs = analysis_jobs(args)?;
+    options.jobs = parse_jobs(args)?;
     if let Some(a) = args.get("algorithm") {
         options.algorithm = match a {
             "ddmin" => trim_core::Algorithm::Ddmin,
@@ -159,15 +162,12 @@ fn debloat_options(args: &Args) -> Result<DebloatOptions, String> {
     if args.has_flag("no-slice") {
         options.slice_init = false;
     }
-    if options.threads > 1 && matches!(options.algorithm, trim_core::Algorithm::Greedy) {
-        return Err(
-            "--algorithm greedy is sequential; drop --threads or use --algorithm ddmin".to_owned(),
-        );
-    }
     Ok(options)
 }
 
-fn analysis_jobs(args: &Args) -> Result<usize, String> {
+/// The one worker count, `--jobs`: analysis fixpoint workers for `trim`,
+/// `profile` and `analyze`, replay workers for `simulate`.
+fn parse_jobs(args: &Args) -> Result<usize, String> {
     let Some(j) = args.get("jobs") else {
         return Ok(1);
     };
@@ -179,6 +179,10 @@ fn analysis_jobs(args: &Args) -> Result<usize, String> {
 }
 
 fn cmd_trim(args: &Args) -> Result<(), String> {
+    args.check_options(
+        &[INPUT_OPTIONS, DEBLOAT_OPTIONS, &["oracle", "out"]].concat(),
+        &["no-slice", "wrap", "ic-stats"],
+    )?;
     let (registry, app_source, handler) = load_inputs_with_handler(args)?;
     let oracle_path = args.require("oracle")?;
     let out_dir = args.require("out")?;
@@ -281,6 +285,7 @@ fn ic_stats_section(
 }
 
 fn cmd_profile(args: &Args) -> Result<(), String> {
+    args.check_options(&[INPUT_OPTIONS, DEBLOAT_OPTIONS].concat(), &["no-slice"])?;
     let (registry, app_source, _) = load_inputs(args)?;
     let options = debloat_options(args)?;
     let profile = trim_profiler::profile_app(&app_source, &registry).map_err(|e| e.to_string())?;
@@ -306,8 +311,9 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
+    args.check_options(&[INPUT_OPTIONS, &["jobs"]].concat(), &["hazards", "json"])?;
     let (registry, app_source, handler) = load_inputs_with_handler(args)?;
-    let jobs = analysis_jobs(args)?;
+    let jobs = parse_jobs(args)?;
     let program = pylite::parse(&app_source).map_err(|e| e.to_string())?;
     let full = trim_analysis::analyze_full(
         &program,
@@ -452,6 +458,7 @@ fn json_string(s: &str) -> String {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
+    args.check_options(&[INPUT_OPTIONS, &["event", "context"]].concat(), &[])?;
     let (registry, app_source, handler) = load_inputs_with_handler(args)?;
     let event = args.get("event").unwrap_or("{}").to_owned();
     let context = args.get("context").unwrap_or("None").to_owned();
@@ -476,6 +483,21 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     use lambda_sim::{
         DiurnalProfile, Platform, ReplayOptions, StartMode, TraceConfig, TraceSource,
     };
+    args.check_options(
+        &[
+            "trace",
+            "functions",
+            "window-secs",
+            "seed",
+            "keep-alive",
+            "modes",
+            "max-concurrency",
+            "provisioned",
+            "jobs",
+            "out",
+        ],
+        &["flat", "stream"],
+    )?;
 
     let parse_num = |flag: &str, default: f64| -> Result<f64, String> {
         match args.get(flag) {
@@ -517,7 +539,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     };
 
     let mut options = ReplayOptions {
-        jobs: analysis_jobs(args)?,
+        jobs: parse_jobs(args)?,
         ..ReplayOptions::default()
     };
     if let Some(list) = args.get("keep-alive") {
@@ -671,16 +693,9 @@ mod tests {
     }
 
     #[test]
-    fn greedy_with_threads_is_rejected_up_front() {
-        let err = debloat_options(&args(&["--algorithm", "greedy", "--threads", "4"]))
-            .expect_err("greedy cannot use parallel probe workers");
-        assert!(err.contains("greedy"), "{err}");
-    }
-
-    #[test]
     fn greedy_sequential_and_parallel_ddmin_are_accepted() {
         assert!(debloat_options(&args(&["--algorithm", "greedy"])).is_ok());
-        assert!(debloat_options(&args(&["--algorithm", "ddmin", "--threads", "4"])).is_ok());
+        assert!(debloat_options(&args(&["--algorithm", "ddmin"])).is_ok());
     }
 
     #[test]
@@ -688,7 +703,7 @@ mod tests {
         let a = args(&["analyze", "--hazards", "--json", "--jobs", "2"]);
         assert!(a.has_flag("hazards"));
         assert!(a.has_flag("json"));
-        assert_eq!(analysis_jobs(&a).unwrap(), 2);
+        assert_eq!(parse_jobs(&a).unwrap(), 2);
     }
 
     #[test]
@@ -779,13 +794,13 @@ mod tests {
 
     #[test]
     fn jobs_flag_is_parsed_and_validated() {
-        assert_eq!(analysis_jobs(&args(&[])).unwrap(), 1);
-        assert_eq!(analysis_jobs(&args(&["--jobs", "8"])).unwrap(), 8);
+        assert_eq!(parse_jobs(&args(&[])).unwrap(), 1);
+        assert_eq!(parse_jobs(&args(&["--jobs", "8"])).unwrap(), 8);
         let opts = debloat_options(&args(&["--jobs", "4"])).unwrap();
         assert_eq!(opts.jobs, 4);
-        let err = analysis_jobs(&args(&["--jobs", "0"])).expect_err("zero jobs rejected");
+        let err = parse_jobs(&args(&["--jobs", "0"])).expect_err("zero jobs rejected");
         assert!(err.contains("--jobs"), "{err}");
-        let err = analysis_jobs(&args(&["--jobs", "lots"])).expect_err("non-numeric rejected");
+        let err = parse_jobs(&args(&["--jobs", "lots"])).expect_err("non-numeric rejected");
         assert!(err.contains("--jobs"), "{err}");
         let err = debloat_options(&args(&["--jobs", "0"])).expect_err("zero jobs rejected");
         assert!(err.contains("--jobs"), "{err}");

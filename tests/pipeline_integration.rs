@@ -92,36 +92,6 @@ fn dd_beats_baselines_on_attributes_removed() {
     }
 }
 
-/// Parallel DD produces byte-identical trimmed registries.
-#[test]
-fn parallel_pipeline_matches_sequential() {
-    let bench = trim_apps::app("markdown").unwrap();
-    let seq = trim_app(
-        &bench.registry,
-        &bench.app_source,
-        &bench.spec,
-        &DebloatOptions::default(),
-    )
-    .unwrap();
-    let par = trim_app(
-        &bench.registry,
-        &bench.app_source,
-        &bench.spec,
-        &DebloatOptions {
-            threads: 4,
-            ..DebloatOptions::default()
-        },
-    )
-    .unwrap();
-    for module in bench.registry.module_names() {
-        assert_eq!(
-            seq.trimmed.source(&module),
-            par.trimmed.source(&module),
-            "module {module} differs between sequential and parallel DD"
-        );
-    }
-}
-
 /// A larger K never yields a worse result than a smaller K (§8.4: growth
 /// then plateau).
 #[test]
