@@ -223,6 +223,57 @@ struct IcStatsRecorder {
     init: IcSiteStats,
 }
 
+/// `sys.modules`, plus every module evicted from it: those a failed import
+/// removed, and a `__main__` that a second `exec_main` replaced.
+///
+/// Dropping the table is the interpreter's finalization. A function holds
+/// its module's globals, which hold the function, so every loaded module
+/// is an `Rc` cycle; as CPython clears module dicts at shutdown, the drop
+/// clears the namespace of every module the interpreter loaded. Evicted
+/// modules are kept until then because their functions may have escaped
+/// into live state. The teardown sits on this field rather than on
+/// [`Interpreter`], so callers can still move public fields out of an
+/// interpreter.
+#[derive(Debug, Default)]
+struct ModuleTable {
+    loaded: HashMap<String, Rc<ModuleObj>>,
+    evicted: Vec<Rc<ModuleObj>>,
+}
+
+impl ModuleTable {
+    fn get(&self, name: &str) -> Option<&Rc<ModuleObj>> {
+        self.loaded.get(name)
+    }
+
+    fn contains(&self, name: &str) -> bool {
+        self.loaded.contains_key(name)
+    }
+
+    fn names(&self) -> impl Iterator<Item = &String> {
+        self.loaded.keys()
+    }
+
+    fn insert(&mut self, name: String, module: Rc<ModuleObj>) {
+        if let Some(old) = self.loaded.insert(name, module) {
+            self.evicted.push(old);
+        }
+    }
+
+    fn evict(&mut self, name: &str) {
+        if let Some(old) = self.loaded.remove(name) {
+            self.evicted.push(old);
+        }
+    }
+}
+
+impl Drop for ModuleTable {
+    fn drop(&mut self) {
+        for module in self.loaded.values().chain(&self.evicted) {
+            module.ns.clear();
+        }
+    }
+}
+
 /// Default per-run step budget (statements). Debloated candidate programs
 /// can in pathological cases loop forever; the budget turns that into a
 /// deterministic [`ExcKind::ResourceExhausted`] failure the oracle rejects.
@@ -233,7 +284,9 @@ pub const DEFAULT_STEP_LIMIT: u64 = 50_000_000;
 /// Each interpreter is fully isolated: its own `sys.modules`, meter and
 /// output buffers. λ-trim spawns a fresh interpreter per profiling run and
 /// per DD probe — the equivalent of the paper's per-phase process spawning
-/// (§7, "Module isolation").
+/// (§7, "Module isolation"). Like a process exit, dropping the interpreter
+/// frees its module graph: every module namespace it loaded is cleared, so
+/// a module object kept past that point sees an empty namespace.
 #[derive(Debug)]
 pub struct Interpreter {
     /// The virtual filesystem of modules.
@@ -253,7 +306,7 @@ pub struct Interpreter {
     /// Execution tier for module bodies and function calls.
     pub engine: Engine,
     observed: HashSet<(Symbol, Symbol), SymbolHashBuilder>,
-    modules: HashMap<String, Rc<ModuleObj>>,
+    modules: ModuleTable,
     builtins: Namespace,
     import_depth: usize,
     interner: Arc<Interner>,
@@ -316,7 +369,7 @@ impl Interpreter {
             step_limit: DEFAULT_STEP_LIMIT,
             engine: Engine::default(),
             observed: HashSet::default(),
-            modules: HashMap::new(),
+            modules: ModuleTable::default(),
             builtins,
             import_depth: 0,
             interner,
@@ -484,7 +537,7 @@ impl Interpreter {
 
     /// Names of all loaded modules (sorted).
     pub fn loaded_modules(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.modules.keys().cloned().collect();
+        let mut v: Vec<String> = self.modules.names().cloned().collect();
         v.sort();
         v
     }
@@ -584,7 +637,7 @@ impl Interpreter {
             }
             Err(e) => {
                 self.snap_frame_abort();
-                self.modules.remove(dotted);
+                self.modules.evict(dotted);
                 self.snap_note_unload(dotted);
                 Err(e)
             }
@@ -877,7 +930,7 @@ impl Interpreter {
                 continue;
             }
             for (dep, fp) in &entry.deps {
-                if self.modules.contains_key(dep)
+                if self.modules.contains(dep)
                     || store.is_denied(dep)
                     || self.registry.module_fingerprint(dep) != Some(*fp)
                 {
@@ -1197,7 +1250,7 @@ impl Interpreter {
                 Some(top) => {
                     let top_module = self
                         .modules
-                        .get(&**top)
+                        .get(top)
                         .cloned()
                         .expect("top package loaded by import_module");
                     self.bind_name(item.bind, Value::Module(top_module), env);
@@ -3745,5 +3798,109 @@ print(isinstance(B(), A))
             "live totals are invariant under init replay"
         );
         assert_eq!(init_on, (0, 0), "replayed init never reaches the caches");
+    }
+
+    // -- teardown: a dropped interpreter leaves no namespace alive ---------
+
+    /// Runs `src` on a fresh interpreter per engine and checks that
+    /// dropping it returns this thread's live-namespace count to its start.
+    #[cfg(debug_assertions)]
+    fn assert_teardown_frees_everything(r: &Registry, snapshots: bool, src: &str) {
+        use crate::value::live_namespaces;
+        for engine in [Engine::Vm, Engine::Tree] {
+            let before = live_namespaces();
+            {
+                let mut it = Interpreter::new(r.clone());
+                it.engine = engine;
+                if snapshots {
+                    it.enable_init_snapshots();
+                }
+                it.exec_main(src).expect("program runs");
+                assert!(
+                    live_namespaces() > before + 1,
+                    "{engine:?}: modules beyond the builtins are alive"
+                );
+            }
+            assert_eq!(live_namespaces(), before, "{engine:?}: {src:?}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn teardown_breaks_function_globals_cycles() {
+        let mut r = Registry::new();
+        r.set_module("m", "def f():\n    return 1\ng = f\n");
+        assert_teardown_frees_everything(&r, false, "import m\nprint(m.g())\n");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn teardown_breaks_class_method_cycles() {
+        let mut r = Registry::new();
+        r.set_module(
+            "m",
+            "class C:\n    def get(self):\n        return self.v\nc = C()\nc.v = 3\n",
+        );
+        assert_teardown_frees_everything(&r, false, "import m\nprint(m.c.get())\n");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn teardown_frees_modules_whose_import_raised() {
+        let mut r = Registry::new();
+        r.set_module("bad", "def f():\n    pass\nraise ValueError()\n");
+        let src = "try:\n    import bad\nexcept ValueError:\n    print(\"caught\")\n";
+        let mut it = Interpreter::new(r.clone());
+        it.exec_main(src).expect("program runs");
+        assert_eq!(it.stdout, vec!["caught"]);
+        assert!(it.module("bad").is_none(), "failed import left sys.modules");
+        drop(it);
+        assert_teardown_frees_everything(&r, false, src);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn teardown_frees_replayed_shells_unforced_and_forced() {
+        let r = replay_registry();
+        // A lookup materializes one binding and leaves the rest deferred:
+        // the pending fill's arena memo then holds `go`, whose globals are
+        // the shell's namespace. A star import forces the whole namespace.
+        for src in [
+            "import lib\nprint(lib.go(1))\n",
+            "from lib import *\nfrom util import *\nprint(go(1), CONST)\n",
+        ] {
+            let _capture = run_snap(&r, src, true);
+            let hits = r.snapshot_store().stats().hits;
+            assert_teardown_frees_everything(&r, true, src);
+            assert!(r.snapshot_store().stats().hits > hits, "{src:?} replays");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn teardown_breaks_main_cycles() {
+        let src =
+            "def f():\n    return 1\nclass C:\n    def m(self):\n        return f()\nc = C()\n";
+        assert_teardown_frees_everything(&Registry::new(), false, src);
+        // A second `exec_main` replaces `__main__` in `sys.modules`; the
+        // replaced module is still torn down.
+        let before = crate::value::live_namespaces();
+        let mut it = Interpreter::new(Registry::new());
+        it.exec_main(src).expect("program runs");
+        it.exec_main(src).expect("program runs again");
+        drop(it);
+        assert_eq!(crate::value::live_namespaces(), before);
+    }
+
+    #[test]
+    fn module_kept_past_its_interpreter_sees_an_empty_namespace() {
+        let mut r = Registry::new();
+        r.set_module("m", "x = 1\n");
+        let mut it = Interpreter::new(r);
+        it.exec_main("import m\n").expect("program runs");
+        let m = it.module("m").expect("m is loaded");
+        assert!(!m.ns.is_empty());
+        drop(it);
+        assert!(m.ns.is_empty(), "teardown cleared the namespace");
     }
 }

@@ -22,6 +22,47 @@ pub(crate) trait LazyBindings: std::fmt::Debug {
     fn contains(&self, key: Symbol) -> bool;
 }
 
+#[cfg(debug_assertions)]
+thread_local! {
+    static LIVE_NAMESPACES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The number of namespaces alive on the calling thread (debug builds
+/// only). Namespaces hold `Rc`s and never cross threads, so the count is
+/// exact and tests running on other threads cannot disturb it; tests use
+/// it to check that a dropped interpreter left no namespace behind.
+#[cfg(debug_assertions)]
+pub fn live_namespaces() -> usize {
+    LIVE_NAMESPACES.with(|c| c.get())
+}
+
+/// Counts its owning [`NsMap`] in [`live_namespaces`]; a zero-sized no-op
+/// in release builds. The private field keeps every construction going
+/// through `Default`, which counts.
+#[derive(Debug)]
+struct LiveToken(());
+
+impl Default for LiveToken {
+    fn default() -> Self {
+        #[cfg(debug_assertions)]
+        LIVE_NAMESPACES.with(|c| c.set(c.get() + 1));
+        LiveToken(())
+    }
+}
+
+impl Clone for LiveToken {
+    fn clone(&self) -> Self {
+        LiveToken::default()
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for LiveToken {
+    fn drop(&mut self) {
+        LIVE_NAMESPACES.with(|c| c.set(c.get() - 1));
+    }
+}
+
 /// An insertion-ordered symbol-keyed map used for every namespace (module
 /// globals, class dicts, instance dicts, call frames).
 ///
@@ -39,6 +80,7 @@ pub struct NsMap {
     /// Pending deferred contents. Every access through [`Namespace`]
     /// materializes this first, so the map below is never observed stale.
     lazy: Option<Rc<dyn LazyBindings>>,
+    _live: LiveToken,
 }
 
 impl NsMap {
@@ -55,6 +97,7 @@ impl NsMap {
             map: HashMap::with_capacity_and_hasher(n, SymbolHashBuilder::default()),
             generation: 0,
             lazy: None,
+            _live: LiveToken::default(),
         }
     }
 
@@ -252,6 +295,21 @@ impl Namespace {
     /// Remove a binding.
     pub fn remove(&self, key: Symbol) -> Option<Value> {
         self.map_mut().remove(key)
+    }
+
+    /// Drop every binding, and any deferred contents, leaving the namespace
+    /// empty. The generation still bumps, so no inline cache survives.
+    pub(crate) fn clear(&self) {
+        // Interpreter teardown calls this from `Drop`, which must not
+        // panic: a namespace still borrowed there (possible only while a
+        // panic unwinds) is left as it is.
+        let Ok(mut m) = self.0.try_borrow_mut() else {
+            return;
+        };
+        m.generation += 1;
+        m.order = Vec::new();
+        m.map = HashMap::default();
+        m.lazy = None;
     }
 
     /// Whether `key` is bound. Deferred namespaces answer without

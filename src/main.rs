@@ -165,8 +165,8 @@ fn debloat_options(args: &Args) -> Result<DebloatOptions, String> {
     Ok(options)
 }
 
-/// The one worker count, `--jobs`: analysis fixpoint workers for `trim`,
-/// `profile` and `analyze`, replay workers for `simulate`.
+/// The one worker count, `--jobs`: analysis fixpoint workers for `trim`
+/// and `analyze`, replay workers for `simulate`.
 fn parse_jobs(args: &Args) -> Result<usize, String> {
     let Some(j) = args.get("jobs") else {
         return Ok(1);
@@ -285,8 +285,10 @@ fn ic_stats_section(
 }
 
 fn cmd_profile(args: &Args) -> Result<(), String> {
-    args.check_options(&[INPUT_OPTIONS, DEBLOAT_OPTIONS].concat(), &["no-slice"])?;
+    args.check_options(&[INPUT_OPTIONS, &["k", "scoring"]].concat(), &[])?;
     let (registry, app_source, _) = load_inputs(args)?;
+    // The check above rejected every other debloat option, so this reads
+    // `--k` and `--scoring` and leaves the rest at their defaults.
     let options = debloat_options(args)?;
     let profile = trim_profiler::profile_app(&app_source, &registry).map_err(|e| e.to_string())?;
     let ranked = trim_profiler::rank_modules(&profile, options.scoring);

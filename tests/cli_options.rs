@@ -73,6 +73,10 @@ fn bad_options_fail_every_command_before_any_work() {
         ("trim", "wrap", "yes", "takes no value"),
         ("profile", "k", "", "needs a value"),
         ("profile", "scorign", "time", "unknown option"),
+        ("profile", "jobs", "2", "unknown option"),
+        ("profile", "engine", "tree", "unknown option"),
+        ("profile", "algorithm", "greedy", "unknown option"),
+        ("profile", "no-slice", "", "unknown option"),
         ("analyze", "hazard", "", "unknown option"),
         ("analyze", "jobs", "", "needs a value"),
         ("run", "engnie", "tree", "unknown option"),
@@ -115,7 +119,7 @@ fn every_option_a_command_takes_is_accepted() {
             "--handler handler --k 5 --scoring time --jobs 2 --algorithm greedy \
              --engine tree --no-slice --wrap --ic-stats",
         ),
-        with("profile", "--k 3 --scoring memory --jobs 2 --engine vm"),
+        with("profile", "--k 3 --scoring memory"),
         with("analyze", "--jobs 2 --hazards --json"),
         with("run", "--handler handler --context None"),
         with(
