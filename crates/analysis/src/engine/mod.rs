@@ -28,14 +28,15 @@
 //!
 //! Incremental re-analysis reuses the converged shards of a previous run
 //! (via [`crate::summary::SummaryCache`]): only modules whose content
-//! fingerprint changed, shards whose recorded registry probes flip, and
-//! their reverse *read*-dependency cone are rebuilt from scratch;
-//! everything else is shared by `Arc` and deep-cloned only if growth
-//! actually reaches it. Message-receive edges are deliberately left out of
-//! the cone — a sent-set validation pass after convergence catches the
-//! rare run where a rebuilt sender stopped sending something a clean
-//! receiver's cached state still reflects, and retries with that receiver
-//! added to the changed set (see `incremental_run`).
+//! fingerprint changed and shards whose recorded registry probes flip are
+//! rebuilt from scratch; everything else is shared by `Arc` and
+//! deep-cloned only if growth actually reaches it. Each shard records, per
+//! dependency, the keys of that dependency's published snapshot it read
+//! ([`worklist::ReadSet`]). After convergence a clean shard is poisoned
+//! only if a key it read from a rebuilt shard lost something, if a message
+//! it received is no longer sent, or if it lies on a read cycle through a
+//! rebuilt shard; poisoned shards join the changed set and the run
+//! retries, still rebuilding only that set (see `incremental_run`).
 
 pub(crate) mod merge;
 pub(crate) mod transfer;
@@ -44,9 +45,8 @@ pub(crate) mod worklist;
 use crate::callgraph::CallGraph;
 use crate::lints::{HazardSet, Lint};
 use crate::origin::OriginSet;
-use crate::summary::{app_fingerprint, CachedRun, SummaryCache, SummaryKey};
+use crate::summary::{CachedRun, SummaryCache, SummaryKey};
 use crate::{Analysis, AnalysisMode};
-use merge::ShardOutput;
 use pylite::ast::Program;
 use pylite::{Interner, Registry, Symbol, SymbolHashBuilder};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -79,43 +79,75 @@ pub(crate) fn run(
 }
 
 /// Full entry point: parallel walks (`jobs` threads) and optional summary
-/// caching / incremental reuse.
+/// caching / incremental reuse (`cache` with the run's cache key).
 pub(crate) fn run_with(
     program: &Program,
     registry: &Registry,
     mode: AnalysisMode,
     entry: Option<&str>,
     jobs: usize,
-    cache: Option<&SummaryCache>,
+    cache: Option<(&SummaryCache, &SummaryKey)>,
 ) -> EngineOutput {
-    let jobs = jobs.max(1);
-    let Some(cache) = cache else {
-        let run = cold_run(program, registry, mode, entry, jobs);
-        return Arc::try_unwrap(run.output).unwrap_or_else(|arc| (*arc).clone());
-    };
-    let key = SummaryKey {
-        app_fp: app_fingerprint(program),
-        mode,
-        entry: entry.map(str::to_owned),
-    };
-    if let Some(prev) = cache.lookup(&key) {
-        if Arc::ptr_eq(&prev.interner, registry.interner()) {
-            if prev.registry_fp == registry.fingerprint() {
-                cache.note_hit();
-                return (*prev.output).clone();
-            }
-            cache.note_incremental();
-            let run = incremental_run(&prev, program, registry, mode, entry, jobs);
-            let output = (*run.output).clone();
-            cache.store(key, run);
-            return output;
+    match cache {
+        None => cold_engine(program, registry, mode, jobs).finish(entry),
+        Some((cache, key)) => {
+            let run = converged(program, registry, jobs, cache, key);
+            (*run.output(registry, entry)).clone()
         }
     }
-    cache.note_miss();
-    let run = cold_run(program, registry, mode, entry, jobs);
-    let output = (*run.output).clone();
-    cache.store(key, run);
-    output
+}
+
+/// The must-keep query: attributes of `module` the application
+/// definitely accesses, as [`run_with`]'s `accessed_attrs(module)` but
+/// without the whole-program merge.
+pub(crate) fn accessed_attrs(
+    program: &Program,
+    registry: &Registry,
+    mode: AnalysisMode,
+    jobs: usize,
+    cache: Option<(&SummaryCache, &SummaryKey)>,
+    module: &str,
+) -> BTreeSet<String> {
+    match cache {
+        None => cold_engine(program, registry, mode, jobs)
+            .pack(BTreeMap::new())
+            .accessed_attrs(module),
+        Some((cache, key)) => converged(program, registry, jobs, cache, key).accessed_attrs(module),
+    }
+}
+
+/// The converged run for `key` against `registry`: the cached run when the
+/// registry is unchanged, else an incremental run from it, else a cold
+/// run. The new run replaces the cached one.
+fn converged(
+    program: &Program,
+    registry: &Registry,
+    jobs: usize,
+    cache: &SummaryCache,
+    key: &SummaryKey,
+) -> Arc<CachedRun> {
+    let jobs = jobs.max(1);
+    let prev = cache
+        .lookup(key)
+        .filter(|prev| Arc::ptr_eq(&prev.interner, registry.interner()));
+    let run = match prev {
+        Some(prev) if prev.registry_fp == registry.fingerprint() => {
+            cache.note_hit();
+            return prev;
+        }
+        Some(prev) => {
+            cache.note_incremental();
+            incremental_run(&prev, program, registry, key.mode, jobs)
+        }
+        None => {
+            cache.note_miss();
+            let module_fps = registry_fps(registry, &registry.module_names());
+            cold_engine(program, registry, key.mode, jobs).pack(module_fps)
+        }
+    };
+    let run = Arc::new(run);
+    cache.store(key.clone(), Arc::clone(&run));
+    run
 }
 
 struct Engine<'a> {
@@ -175,17 +207,16 @@ fn registry_fps(registry: &Registry, module_names: &[String]) -> BTreeMap<String
         .collect()
 }
 
-fn cold_run(
+/// A cold run to convergence, with every active shard collected.
+fn cold_engine<'a>(
     program: &Program,
-    registry: &Registry,
+    registry: &'a Registry,
     mode: AnalysisMode,
-    entry: Option<&str>,
     jobs: usize,
-) -> CachedRun {
+) -> Engine<'a> {
     let interner = Arc::clone(registry.interner());
     let module_names = registry.module_names();
-    let module_fps = registry_fps(registry, &module_names);
-    let mut eng = Engine::new(registry, interner, mode, jobs, module_names.len());
+    let mut eng = Engine::new(registry, interner, mode, jobs.max(1), module_names.len());
     eng.push_shard(build_app_shard(program, &eng.interner), true);
     for name in &module_names {
         let sym = eng.interner.intern(name);
@@ -193,7 +224,7 @@ fn cold_run(
     }
     eng.rounds();
     eng.collect();
-    eng.pack(entry, module_fps)
+    eng
 }
 
 fn incremental_run(
@@ -201,7 +232,6 @@ fn incremental_run(
     program: &Program,
     registry: &Registry,
     mode: AnalysisMode,
-    entry: Option<&str>,
     jobs: usize,
 ) -> CachedRun {
     let interprocedural = mode == AnalysisMode::Interprocedural;
@@ -221,9 +251,9 @@ fn incremental_run(
     }
     for name in prev.module_fps.keys() {
         if !new_fps.contains_key(name) {
-            let removed = Some(name.clone());
+            let removed = Some(prev.interner.intern(name));
             for s in &prev.shards {
-                if s.read_deps.contains(&removed) {
+                if s.reads.contains_key(&removed) {
                     changed.insert(s.name_str.clone());
                 }
             }
@@ -248,43 +278,22 @@ fn incremental_run(
         .map(|s| (s.name_str.as_deref(), s))
         .collect();
 
-    // The first attempt is optimistic: rebuild only the changed shards
-    // themselves and keep every reader clean, betting that the rebuilt
-    // shards re-publish content their readers already converged against
-    // (early cutoff — the common case for edits that do not change a
-    // module's public surface). The two validations below poison the bet
-    // when a rebuilt shard's surface shrank or a previously-sent message
-    // disappeared; the retry then escalates to the full reverse
-    // read-dependency cone. `changed` grows strictly on every retry, so
-    // the loop terminates (worst case: all shards, i.e. a cold run).
-    let mut pessimistic = false;
+    // Every attempt is optimistic: rebuild only the changed shards and
+    // keep every other shard clean, betting that the rebuilt shards still
+    // publish everything their clean readers read (early cutoff). The
+    // validations below poison a clean shard whose bet failed: a key it
+    // read from a rebuilt shard lost something, a message it received is
+    // no longer sent, or it lies on a read cycle through a rebuilt shard.
+    // Poisoned shards join the changed set and the attempt reruns.
+    // Poisoned shards are clean, so `changed` grows strictly on every
+    // retry and the loop terminates (worst case: all shards, i.e. a cold
+    // run).
     loop {
-        let mut cone = changed.clone();
-        if pessimistic {
-            // Reverse cone over read edges: anything that read a changed
-            // shard's published state is rebuilt too, transitively.
-            loop {
-                let mut grew = false;
-                for s in &prev.shards {
-                    if cone.contains(&s.name_str) {
-                        continue;
-                    }
-                    if s.read_deps.iter().any(|d| cone.contains(d)) {
-                        cone.insert(s.name_str.clone());
-                        grew = true;
-                    }
-                }
-                if !grew {
-                    break;
-                }
-            }
-        }
-
         let interner = Arc::clone(registry.interner());
         let mut eng = Engine::new(registry, interner, mode, jobs, module_names.len());
         let mut clean_names: BTreeSet<Option<String>> = BTreeSet::new();
         match prev_by_name.get(&None) {
-            Some(app) if !cone.contains(&None) => {
+            Some(app) if !changed.contains(&None) => {
                 eng.push_shard_arc(Arc::clone(app), false, true);
                 clean_names.insert(None);
             }
@@ -298,7 +307,7 @@ fn incremental_run(
         }
         for name in &module_names {
             let sym = eng.interner.intern(name);
-            let cached = (!cone.contains(&Some(name.clone())))
+            let cached = (!changed.contains(&Some(name.clone())))
                 .then(|| prev_by_name.get(&Some(name.as_str())))
                 .flatten();
             match cached {
@@ -316,10 +325,10 @@ fn incremental_run(
             }
         }
         // Replay every message ever sent by a clean shard: rebuilt shards
-        // in the cone re-receive activations and parameter binds whose
-        // senders are not being re-walked. Replays that target clean shards
-        // are no-ops (and are pre-checked so they do not force a
-        // copy-on-write clone).
+        // re-receive activations and parameter binds whose senders are not
+        // being re-walked. Replays that target clean shards are no-ops
+        // (and are pre-checked so they do not force a copy-on-write
+        // clone).
         let replays: Vec<Message> = eng
             .shards
             .iter()
@@ -332,20 +341,25 @@ fn incremental_run(
         eng.rounds();
 
         let mut poisoned: BTreeSet<Option<String>> = BTreeSet::new();
-        // Surface validation: a rebuilt shard whose final snapshot lost
-        // something its old snapshot had (`old ⋢ new`) invalidates every
-        // clean reader that converged against the old snapshot. (Pure
-        // growth is fine: those readers were woken at the point the new
-        // content grew past the old snapshot and re-converged monotonely.)
+        // Surface validation, key by key: a rebuilt shard whose final
+        // snapshot lost something its old snapshot had (`old ⋢ new`)
+        // invalidates a clean reader only if one of the keys that reader
+        // read from it lost something. (Pure growth is fine: readers were
+        // woken at the point the new content grew past the old snapshot
+        // and re-converged monotonely.)
         for idx in 0..eng.shards.len() {
             let Some(old) = &eng.old_published[idx] else {
                 continue;
             };
-            if old.le(&eng.shards[idx].published) {
+            let new = &eng.shards[idx].published;
+            if old.le(new) {
                 continue;
             }
+            let dep = eng.shards[idx].name;
             for s in &prev.shards {
-                if clean_names.contains(&s.name_str) && s.read_deps.contains(&eng.names[idx]) {
+                if clean_names.contains(&s.name_str)
+                    && s.reads.get(&dep).is_some_and(|r| r.lost(old, new))
+                {
                     poisoned.insert(s.name_str.clone());
                 }
             }
@@ -353,13 +367,11 @@ fn incremental_run(
         // Sent-set validation: a rebuilt (or removed) shard may have
         // stopped sending a message that a clean receiver's cached state
         // still reflects — e.g. an edit deleted the only call that bound a
-        // parameter of a clean module's function. Clean shards themselves
-        // never lose messages (their `sent` only grows, and it was replayed
-        // above), so only non-clean old shards need checking. Any
-        // no-longer-sent message targeting a clean shard poisons that
-        // receiver. With no poisons, every clean shard's inputs are a
-        // superset of what its cached fixpoint was computed from, and
-        // monotone transfer makes the reused state exact.
+        // parameter of a clean module's function, or a trimmed package no
+        // longer imports a submodule. Clean shards themselves never lose
+        // messages (their `sent` only grows, and it was replayed above),
+        // so only non-clean old shards need checking. Any no-longer-sent
+        // message targeting a clean shard poisons that receiver.
         let new_sent: HashMap<Option<&str>, &BTreeSet<Message>> = eng
             .shards
             .iter()
@@ -386,12 +398,21 @@ fn incremental_run(
                 }
             }
         }
+        // Cycle validation: a clean shard on a read cycle through a rebuilt
+        // shard may have fed facts the rebuilt shard lost back into it, so
+        // the rebuilt shard re-publishes them and the key checks above pass
+        // on stale content. Rebuilding the whole cycle rules that out. With
+        // no poisons, every clean shard's inputs are a superset of what its
+        // cached fixpoint was computed from, each rebuilt shard's inputs
+        // are exact (by induction over the acyclic read order between clean
+        // and rebuilt shards), and monotone transfer makes the reused state
+        // exact.
+        poisoned.append(&mut eng.clean_on_rebuilt_cycles());
         if poisoned.is_empty() {
             eng.collect();
-            return eng.pack(entry, new_fps);
+            return eng.pack(new_fps);
         }
         changed.append(&mut poisoned);
-        pessimistic = true;
     }
 }
 
@@ -533,18 +554,64 @@ impl<'a> Engine<'a> {
         self.old_published.push(None);
     }
 
-    /// Package the converged engine as a cacheable run.
-    fn pack(self, entry: Option<&str>, module_fps: BTreeMap<String, u64>) -> CachedRun {
-        let t = crate::spans::start();
-        let output = Arc::new(self.finish(entry));
-        crate::spans::record(crate::spans::Phase::Finish, 0, None, t);
-        CachedRun {
-            registry_fp: self.registry.fingerprint(),
-            interner: self.interner,
-            module_fps,
-            shards: self.shards,
-            output,
+    /// Names of the clean shards that lie on a read cycle through a
+    /// rebuilt shard: each reads it (transitively) and is read by it.
+    fn clean_on_rebuilt_cycles(&self) -> BTreeSet<Option<String>> {
+        let deps: Vec<Vec<usize>> = self
+            .shards
+            .iter()
+            .map(|s| {
+                s.reads
+                    .keys()
+                    .filter_map(|d| match d {
+                        Some(m) => self.index.get(m).copied(),
+                        None => Some(0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut readers: Vec<Vec<usize>> = vec![Vec::new(); deps.len()];
+        for (i, ds) in deps.iter().enumerate() {
+            for &d in ds {
+                readers[d].push(i);
+            }
         }
+        let reach = |from: usize, edges: &[Vec<usize>]| {
+            let mut seen = vec![false; edges.len()];
+            let mut stack = vec![from];
+            while let Some(i) = stack.pop() {
+                for &j in &edges[i] {
+                    if !seen[j] {
+                        seen[j] = true;
+                        stack.push(j);
+                    }
+                }
+            }
+            seen
+        };
+        let mut on_cycle = BTreeSet::new();
+        for rebuilt in (0..self.shards.len()).filter(|&i| !self.clean[i]) {
+            if deps[rebuilt].is_empty() || readers[rebuilt].is_empty() {
+                continue;
+            }
+            let (read, read_by) = (reach(rebuilt, &deps), reach(rebuilt, &readers));
+            for i in 0..self.shards.len() {
+                if self.clean[i] && read[i] && read_by[i] {
+                    on_cycle.insert(self.names[i].clone());
+                }
+            }
+        }
+        on_cycle
+    }
+
+    /// Package the converged engine as a cacheable run.
+    fn pack(self, module_fps: BTreeMap<String, u64>) -> CachedRun {
+        CachedRun::new(
+            self.registry.fingerprint(),
+            self.interner,
+            module_fps,
+            self.shards,
+        )
     }
 
     fn view<'v>(&'v self, snapshots: &'v [Arc<Published>]) -> RoundView<'v> {
@@ -676,7 +743,7 @@ impl<'a> Engine<'a> {
             // cutoff: their cached state already accounts for everything
             // published so far).
             for &i in &republished {
-                let dep = self.names[i].clone();
+                let dep = self.shards[i].name;
                 let grew_past_old = match &self.old_published[i] {
                     Some(old) => !self.shards[i].published.le(old),
                     None => true,
@@ -685,7 +752,7 @@ impl<'a> Engine<'a> {
                     if j != i
                         && !self.dirty[j]
                         && (grew_past_old || !self.clean[j])
-                        && self.shards[j].read_deps.contains(&dep)
+                        && self.shards[j].reads.contains_key(&dep)
                     {
                         self.dirty[j] = true;
                     }
@@ -822,12 +889,14 @@ impl<'a> Engine<'a> {
     /// Merge shard outputs (app first, then modules in sorted-name order —
     /// the construction order of `shards`) and finalize.
     fn finish(&self, entry: Option<&str>) -> EngineOutput {
-        let outputs: Vec<&ShardOutput> = self
+        let t = crate::spans::start();
+        let outputs = self
             .shards
             .iter()
             .filter(|s| s.active)
-            .filter_map(|s| s.output.as_deref())
-            .collect();
-        merge::finish(outputs, self.registry, entry)
+            .filter_map(|s| s.output.as_deref());
+        let output = merge::finish(outputs, self.registry, entry);
+        crate::spans::record(crate::spans::Phase::Finish, 0, None, t);
+        output
     }
 }

@@ -12,14 +12,17 @@
 //!   per-shard output summaries cacheable across incremental runs.
 //!
 //! Cross-shard reads go through the frozen [`RoundView`] snapshots and are
-//! recorded as read-dependencies; cross-shard writes become messages. All
-//! intra-shard effects are plain Gauss-Seidel joins.
+//! recorded key by key in the reader's [`ReadSet`]s; cross-shard writes
+//! become messages. All intra-shard effects are plain Gauss-Seidel joins.
 
 use super::merge::ShardOutput;
-use super::worklist::{FuncInfo, Message, RoundView, Scope, Shard, UnitRef, WalkResult};
+use super::worklist::{
+    FuncInfo, FuncPub, MapSite, Message, Published, ReadSet, RoundView, Scope, Shard, UnitRef,
+    WalkResult,
+};
 use crate::callgraph::CgNode;
 use crate::lints::{Lint, LintKind, Severity};
-use crate::origin::{join_into, FuncKey, Origin, OriginSet, SiteKey};
+use crate::origin::{join_into, FuncKey, Origin, OriginSet, ShardName, SiteKey};
 use pylite::resolved::{RClassDef, RExpr, RFromName, RStmt};
 use pylite::Symbol;
 use std::collections::{BTreeMap, BTreeSet};
@@ -292,12 +295,9 @@ impl Walker<'_, '_> {
         v
     }
 
-    fn read_dep(&mut self, module: Symbol) {
-        if self.shard.name == Some(module) {
-            return;
-        }
-        let name = self.view.interner.resolve(module).to_string();
-        self.shard.read_deps.insert(Some(name));
+    /// The read set this shard keeps for `dep` (created on first read).
+    fn reads_of(&mut self, dep: ShardName) -> &mut ReadSet {
+        self.shard.reads.entry(dep).or_default()
     }
 
     /// A module's top-level binding for `name`, through the frozen snapshot
@@ -311,52 +311,52 @@ impl Walker<'_, '_> {
                 .and_then(|s| s.env.get(&name))
                 .cloned();
         }
-        self.read_dep(module);
+        self.reads_of(Some(module)).names.insert(name);
         self.view
             .snapshot_of(module)
             .and_then(|p| p.top_env.get(&name))
             .cloned()
     }
 
-    /// Snapshot of another shard's published state, recording the read
-    /// dependency (`None` addresses the application shard, which is always
-    /// snapshot index 0).
-    fn foreign_snapshot(
-        &mut self,
-        shard: crate::origin::ShardName,
-    ) -> Option<&super::worklist::Published> {
+    /// Another shard's published state (`None` addresses the application
+    /// shard, which is always snapshot index 0).
+    fn foreign_snapshot(&self, shard: ShardName) -> Option<&Published> {
         match shard {
-            Some(m) => {
-                self.read_dep(m);
-                self.view.snapshot_of(m)
-            }
-            None => {
-                self.shard.read_deps.insert(None);
-                Some(&self.view.snapshots[0])
-            }
+            Some(m) => self.view.snapshot_of(m),
+            None => Some(&self.view.snapshots[0]),
         }
+    }
+
+    /// A function of another shard, as that shard last published it.
+    fn foreign_func(&mut self, key: FuncKey) -> Option<FuncPub> {
+        self.reads_of(key.shard).funcs.insert(key);
+        self.foreign_snapshot(key.shard)
+            .and_then(|p| p.funcs.get(&key))
+            .cloned()
     }
 
     fn seq_elems(&mut self, site: SiteKey) -> Option<Vec<OriginSet>> {
         if site.shard == self.shard.name {
             return self.shard.seq_sites.get(&site).cloned();
         }
+        self.reads_of(site.shard).seq_sites.insert(site);
         self.foreign_snapshot(site.shard)
             .and_then(|p| p.seq_sites.get(&site).cloned())
     }
 
-    fn map_entries(
-        &mut self,
-        site: SiteKey,
-    ) -> Option<(std::collections::BTreeMap<Arc<str>, OriginSet>, OriginSet)> {
+    fn map_entries(&mut self, site: SiteKey) -> Option<MapSite> {
         if site.shard == self.shard.name {
             return self.shard.map_sites.get(&site).cloned();
         }
+        self.reads_of(site.shard).map_sites.insert(site);
         self.foreign_snapshot(site.shard)
             .and_then(|p| p.map_sites.get(&site).cloned())
     }
 
     /// `import a.b.c` pulls in (and runs the top-level of) a, a.b and a.b.c.
+    /// A package importing its own submodule (`import pkg.core` inside
+    /// `pkg`) is already running: that prefix gets no activation and no
+    /// call-graph edge.
     fn record_import(&mut self, ctx: &Ctx, dotted: &str) {
         let mut prefix = String::new();
         for part in dotted.split('.') {
@@ -364,7 +364,8 @@ impl Walker<'_, '_> {
                 prefix.push('.');
             }
             prefix.push_str(part);
-            let present = self.probe_contains(&prefix);
+            let present = self.shard.name_str.as_deref() != Some(prefix.as_str())
+                && self.probe_contains(&prefix);
             if present && self.view.interprocedural {
                 let sym = self.view.interner.intern(&prefix);
                 self.send(Message::ActivateModule(sym));
@@ -760,7 +761,7 @@ impl Walker<'_, '_> {
                 .map(|s| s.env.iter().map(|(k, v)| (*k, v.clone())).collect())
                 .unwrap_or_default()
         } else {
-            self.read_dep(module_sym);
+            self.reads_of(Some(module_sym)).all_names = true;
             self.view
                 .snapshot_of(module_sym)
                 .map(|p| p.top_env.iter().map(|(k, v)| (*k, v.clone())).collect())
@@ -887,11 +888,7 @@ impl Walker<'_, '_> {
                             }
                             out.insert(Origin::Method(mkey));
                         }
-                    } else if let Some(fpub) = self
-                        .foreign_snapshot(mkey.shard)
-                        .and_then(|p| p.funcs.get(&mkey))
-                        .cloned()
-                    {
+                    } else if let Some(fpub) = self.foreign_func(mkey) {
                         if let Some(&p0) = fpub.params.first() {
                             let iset: OriginSet = [Origin::Instance(*ck)].into_iter().collect();
                             self.send(Message::BindParam(mkey, p0, iset));
@@ -956,8 +953,7 @@ impl Walker<'_, '_> {
                     let exists = if ikey.shard == self.shard.name {
                         self.shard.funcs.contains_key(&ikey)
                     } else {
-                        self.foreign_snapshot(ikey.shard)
-                            .is_some_and(|p| p.funcs.contains_key(&ikey))
+                        self.foreign_func(ikey).is_some()
                     };
                     if exists {
                         if self.is_collect() {
@@ -1035,11 +1031,7 @@ impl Walker<'_, '_> {
         } else {
             // Cross-shard call (including an app-defined callback invoked
             // from library code): activate and bind through the barrier.
-            let Some(fpub) = self
-                .foreign_snapshot(key.shard)
-                .and_then(|p| p.funcs.get(&key))
-                .cloned()
-            else {
+            let Some(fpub) = self.foreign_func(key) else {
                 return;
             };
             self.send(Message::ActivateFunc(key));

@@ -11,7 +11,7 @@
 //! effects are pure joins (commutative and idempotent), so the per-round
 //! state evolution is a deterministic function of the previous round.
 
-use crate::origin::{FuncKey, OriginSet, ShardName};
+use crate::origin::{FuncKey, OriginSet, ShardName, SiteKey};
 use pylite::resolved::{RProgram, RStmt};
 use pylite::Symbol;
 use std::collections::{BTreeMap, BTreeSet};
@@ -67,39 +67,106 @@ pub(crate) struct Published {
     /// atom does not require the body to have been walked).
     pub funcs: BTreeMap<FuncKey, FuncPub>,
     /// Tuple/list literal sites owned by this shard.
-    pub seq_sites: BTreeMap<crate::origin::SiteKey, Vec<OriginSet>>,
+    pub seq_sites: BTreeMap<SiteKey, Vec<OriginSet>>,
     /// Dict literal sites owned by this shard.
-    pub map_sites: BTreeMap<crate::origin::SiteKey, (BTreeMap<Arc<str>, OriginSet>, OriginSet)>,
+    pub map_sites: BTreeMap<SiteKey, MapSite>,
 }
+
+/// A dict literal site: entries under literal string keys, plus the join
+/// of every value stored under a non-literal key.
+pub(crate) type MapSite = (BTreeMap<Arc<str>, OriginSet>, OriginSet);
 
 impl Published {
     /// Content partial order: does `other` cover everything in `self`?
     /// Key *presence* counts — a name pre-bound to an empty origin set is
     /// still visible to star-import readers. Used for incremental early
-    /// cutoff: a rebuilt shard whose final snapshot satisfies
-    /// `old.le(new)` never invalidates readers that converged against
-    /// `old` (their cached state is a monotone under-approximation).
+    /// cutoff: a rebuilt shard whose content stays within its old snapshot
+    /// (`new.le(old)`) wakes none of its clean readers, and one whose final
+    /// snapshot satisfies `old.le(new)` lost nothing any reader could have
+    /// read.
     pub fn le(&self, other: &Published) -> bool {
-        self.top_env
-            .iter()
-            .all(|(k, v)| other.top_env.get(k).is_some_and(|o| v.is_subset(o)))
-            && self.funcs.iter().all(|(k, f)| {
-                other
-                    .funcs
+        env_le(&self.top_env, &other.top_env)
+            && self
+                .funcs
+                .iter()
+                .all(|(k, f)| func_le(f, other.funcs.get(k)))
+            && self
+                .seq_sites
+                .iter()
+                .all(|(k, v)| seq_le(v, other.seq_sites.get(k)))
+            && self
+                .map_sites
+                .iter()
+                .all(|(k, v)| map_le(v, other.map_sites.get(k)))
+    }
+}
+
+fn env_le(old: &BTreeMap<Symbol, OriginSet>, new: &BTreeMap<Symbol, OriginSet>) -> bool {
+    old.iter()
+        .all(|(k, v)| new.get(k).is_some_and(|n| v.is_subset(n)))
+}
+
+fn func_le(old: &FuncPub, new: Option<&FuncPub>) -> bool {
+    new.is_some_and(|n| old.params == n.params && old.ret.is_subset(&n.ret))
+}
+
+fn seq_le(old: &[OriginSet], new: Option<&Vec<OriginSet>>) -> bool {
+    new.is_some_and(|n| old.len() == n.len() && old.iter().zip(n).all(|(a, b)| a.is_subset(b)))
+}
+
+fn map_le(old: &MapSite, new: Option<&MapSite>) -> bool {
+    let (m, rest) = old;
+    new.is_some_and(|(nm, nrest)| {
+        rest.is_subset(nrest)
+            && m.iter()
+                .all(|(k, v)| nm.get(k).is_some_and(|n| v.is_subset(n)))
+    })
+}
+
+/// The keys of one dependency's [`Published`] snapshot that a shard read.
+/// A shard's cached state depends on its dependencies only through these
+/// keys, so after a dependency is rebuilt the shard stays valid unless one
+/// of them lost something (see `engine::incremental_run`).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ReadSet {
+    /// The whole top-level environment, names included (a star import).
+    pub all_names: bool,
+    /// Top-level names read one at a time.
+    pub names: BTreeSet<Symbol>,
+    /// Functions looked up (parameters, return set, or mere presence).
+    pub funcs: BTreeSet<FuncKey>,
+    /// Tuple/list literal sites read.
+    pub seq_sites: BTreeSet<SiteKey>,
+    /// Dict literal sites read.
+    pub map_sites: BTreeSet<SiteKey>,
+}
+
+impl ReadSet {
+    /// Did any key read here lose something between `old` and `new`? A
+    /// name read one at a time treats a missing binding like an empty one:
+    /// its readers derive nothing from either.
+    pub fn lost(&self, old: &Published, new: &Published) -> bool {
+        let empty = OriginSet::new();
+        (self.all_names && !env_le(&old.top_env, &new.top_env))
+            || self.names.iter().any(|k| {
+                old.top_env
                     .get(k)
-                    .is_some_and(|o| f.params == o.params && f.ret.is_subset(&o.ret))
+                    .is_some_and(|o| !o.is_subset(new.top_env.get(k).unwrap_or(&empty)))
             })
-            && self.seq_sites.iter().all(|(k, v)| {
-                other.seq_sites.get(k).is_some_and(|o| {
-                    v.len() == o.len() && v.iter().zip(o.iter()).all(|(a, b)| a.is_subset(b))
-                })
+            || self.funcs.iter().any(|k| {
+                old.funcs
+                    .get(k)
+                    .is_some_and(|o| !func_le(o, new.funcs.get(k)))
             })
-            && self.map_sites.iter().all(|(k, (m, rest))| {
-                other.map_sites.get(k).is_some_and(|(om, orest)| {
-                    rest.is_subset(orest)
-                        && m.iter()
-                            .all(|(mk, mv)| om.get(mk).is_some_and(|ov| mv.is_subset(ov)))
-                })
+            || self.seq_sites.iter().any(|k| {
+                old.seq_sites
+                    .get(k)
+                    .is_some_and(|o| !seq_le(o, new.seq_sites.get(k)))
+            })
+            || self.map_sites.iter().any(|k| {
+                old.map_sites
+                    .get(k)
+                    .is_some_and(|o| !map_le(o, new.map_sites.get(k)))
             })
     }
 }
@@ -160,20 +227,22 @@ pub(crate) struct Shard {
     /// Active units in activation order (top first).
     pub units: Vec<UnitRef>,
     /// Tuple/list literal sites defined in this shard.
-    pub seq_sites: BTreeMap<crate::origin::SiteKey, Vec<OriginSet>>,
+    pub seq_sites: BTreeMap<SiteKey, Vec<OriginSet>>,
     /// Dict literal sites defined in this shard.
-    pub map_sites: BTreeMap<crate::origin::SiteKey, (BTreeMap<Arc<str>, OriginSet>, OriginSet)>,
+    pub map_sites: BTreeMap<SiteKey, MapSite>,
     /// `(scope, name)` pairs bound by import statements (rebinding lint).
     pub import_bound: BTreeSet<(usize, Symbol)>,
     /// Param binds / activations that arrived before the function was
     /// registered (only possible when replaying cached messages).
     pub pending_binds: BTreeMap<FuncKey, Vec<(Symbol, OriginSet)>>,
     pub pending_activations: BTreeSet<FuncKey>,
-    /// Shards whose published state this shard has read (`None` = the
-    /// application shard). The incremental dirty cone is the reverse
-    /// closure of the edit over these edges; message-receive edges are
-    /// covered by sent-set validation instead (see `incremental_run`).
-    pub read_deps: BTreeSet<Option<String>>,
+    /// What this shard has read of each other shard's published state,
+    /// by dependency (`None` = the application shard). The key set is the
+    /// shard's read dependencies: a re-publishing dependency wakes it, and
+    /// an incremental run checks the recorded keys of a rebuilt dependency
+    /// (see `incremental_run`). Message-receive edges are covered by
+    /// sent-set validation instead.
+    pub reads: BTreeMap<ShardName, ReadSet>,
     /// Registry existence probes made by this shard (`contains` answers).
     /// A flipped answer invalidates the shard's cached summary.
     pub probes: BTreeMap<String, bool>,
@@ -207,7 +276,7 @@ impl Shard {
             import_bound: BTreeSet::new(),
             pending_binds: BTreeMap::new(),
             pending_activations: BTreeSet::new(),
-            read_deps: BTreeSet::new(),
+            reads: BTreeMap::new(),
             probes: BTreeMap::new(),
             analyzed_probes: BTreeMap::new(),
             sent: BTreeSet::new(),

@@ -82,7 +82,8 @@ pub struct AnalysisOptions {
     pub jobs: usize,
     /// Optional cross-run summary cache: identical `(app, registry)` runs
     /// are answered from cache, and registry edits trigger incremental
-    /// re-analysis of only the changed modules' dependency cone.
+    /// re-analysis of the changed modules (plus any reader of a key they
+    /// lost).
     pub summary_cache: Option<Arc<summary::SummaryCache>>,
 }
 
@@ -177,23 +178,77 @@ pub fn analyze_full(
     registry: &Registry,
     options: &AnalysisOptions,
 ) -> FullAnalysis {
-    let out = engine::run_with(
-        program,
-        registry,
-        options.mode,
-        options.entry.as_deref(),
-        options.jobs,
-        options.summary_cache.as_deref(),
-    );
-    FullAnalysis {
-        analysis: out.analysis,
-        load_time_accessed: out.load_time_accessed,
-        module_bindings: out.module_bindings,
-        lints: out.lints,
-        hazard_modules: out.hazard_modules,
-        hazard_attrs: out.hazard_attrs,
-        call_graph: out.call_graph,
-        reached_functions: out.reached_functions,
+    Analyzer::new(program, options).full(registry)
+}
+
+/// One application analyzed against a changing registry, as the trim
+/// loops do: the program is fingerprinted once for the summary cache, and
+/// [`Analyzer::accessed_attrs`] answers the per-module must-keep question
+/// without the whole-program merge.
+#[derive(Debug)]
+pub struct Analyzer<'a> {
+    program: &'a Program,
+    options: &'a AnalysisOptions,
+    /// The summary-cache key (present iff the options carry a cache).
+    key: Option<summary::SummaryKey>,
+}
+
+impl<'a> Analyzer<'a> {
+    /// Prepare `program` for analysis under `options`.
+    pub fn new(program: &'a Program, options: &'a AnalysisOptions) -> Analyzer<'a> {
+        let key = options.summary_cache.as_ref().map(|_| summary::SummaryKey {
+            app_fp: summary::app_fingerprint(program),
+            mode: options.mode,
+            entry: options.entry.clone(),
+        });
+        Analyzer {
+            program,
+            options,
+            key,
+        }
+    }
+
+    fn cache(&self) -> Option<(&summary::SummaryCache, &summary::SummaryKey)> {
+        self.options.summary_cache.as_deref().zip(self.key.as_ref())
+    }
+
+    /// The full analysis against `registry` (what [`analyze_full`]
+    /// returns).
+    pub fn full(&self, registry: &Registry) -> FullAnalysis {
+        let out = engine::run_with(
+            self.program,
+            registry,
+            self.options.mode,
+            self.options.entry.as_deref(),
+            self.options.jobs,
+            self.cache(),
+        );
+        FullAnalysis {
+            analysis: out.analysis,
+            load_time_accessed: out.load_time_accessed,
+            module_bindings: out.module_bindings,
+            lints: out.lints,
+            hazard_modules: out.hazard_modules,
+            hazard_attrs: out.hazard_attrs,
+            call_graph: out.call_graph,
+            reached_functions: out.reached_functions,
+        }
+    }
+
+    /// Attributes of `module` the application definitely accesses against
+    /// `registry`: equal to `self.full(registry).analysis.accessed_attrs(module)`,
+    /// but read straight off the converged shards. Through a summary cache
+    /// it shares cached runs with [`Analyzer::full`] and skips the
+    /// whole-program merge (lints, hazard sets, call graph).
+    pub fn accessed_attrs(&self, registry: &Registry, module: &str) -> BTreeSet<String> {
+        engine::accessed_attrs(
+            self.program,
+            registry,
+            self.options.mode,
+            self.options.jobs,
+            self.cache(),
+            module,
+        )
     }
 }
 
@@ -641,6 +696,12 @@ mod tests {
             CgNode::ModuleTop("pkg".into()),
             CgNode::ModuleTop("pkg.core".into())
         )));
+        // `pkg` importing its own submodule does not import `pkg` again.
+        assert!(
+            fa.call_graph.edges.iter().all(|(from, to)| from != to),
+            "self-edge in {:?}",
+            fa.call_graph.edges
+        );
     }
 
     // -- lints ------------------------------------------------------------
@@ -912,12 +973,50 @@ mod tests {
         };
         let mut r = chain_registry();
         analyze_full(&p, &r, &opts); // prime the cache
-                                     // Edit a leaf module: only its reverse-dependency cone re-runs.
+                                     // Edit a leaf module: it re-runs, and readers only if they must.
         r.set_module("pkg.util", "def double(x):\n    return x + x\ntriple = 3\n");
         let incremental = analyze_full(&p, &r, &opts);
         assert_eq!(cache.incremental_runs(), 1);
         let scratch = analyze_full(&p, &r, &AnalysisOptions::default());
         assert_same_full(&scratch, &incremental);
+    }
+
+    #[test]
+    fn incremental_rewalks_only_the_committed_module_when_read_keys_survive() {
+        // A DD commit shrinks `m`'s surface, but the app reads only `m.a`,
+        // which survives: the app shard stays clean and is not re-walked.
+        let p = parse("import m\nx = m.a\n").unwrap();
+        let cache = summary::SummaryCache::shared();
+        let opts = AnalysisOptions {
+            summary_cache: Some(cache.clone()),
+            ..AnalysisOptions::default()
+        };
+        let mut r = registry_src(&[("m", "a = 1\nb = 2\n")]);
+        analyze_full(&p, &r, &opts);
+        r.set_module("m", "a = 1\n");
+        spans::enable();
+        let incremental = analyze_full(&p, &r, &opts);
+        let trace = spans::take();
+        assert_eq!(cache.incremental_runs(), 1);
+        let walked: Vec<Option<String>> = trace
+            .iter()
+            .filter(|s| s.phase == spans::Phase::Walk)
+            .map(|s| s.shard.clone())
+            .collect();
+        assert!(!walked.is_empty());
+        assert!(
+            walked.iter().all(|s| s.as_deref() == Some("m")),
+            "walked {walked:?}"
+        );
+        let scratch = analyze_full(&p, &r, &AnalysisOptions::default());
+        assert_same_full(&scratch, &incremental);
+        // The query answers from the same cached run, no merge needed.
+        let query = Analyzer::new(&p, &opts);
+        assert_eq!(
+            query.accessed_attrs(&r, "m"),
+            scratch.analysis.accessed_attrs("m")
+        );
+        assert_eq!(cache.hits(), 1);
     }
 
     #[test]

@@ -3,30 +3,38 @@
 //!
 //! A [`SummaryCache`] remembers, per `(app, mode, entry)` key, the complete
 //! converged state of the last analysis run against some registry state:
-//! every shard (scopes, function tables, probe logs, cached per-shard
-//! outputs) plus the merged result. On the next run:
+//! every shard (scopes, function tables, key-level read sets, probe logs,
+//! cached per-shard outputs). On the next run:
 //!
-//! * identical registry fingerprint → the merged output is returned as-is
-//!   (this also collapses the pipeline's report-then-trim double fixpoint
-//!   into one);
-//! * changed fingerprint → only modules whose content fingerprint changed,
-//!   shards whose recorded registry probes flip, and their reverse-dependency
-//!   cone are re-analyzed from scratch; every other shard is reused via
-//!   `Arc` and deep-cloned only if message growth actually reaches it
-//!   (see DESIGN.md §9 for why this is exact).
+//! * identical registry fingerprint → the cached run answers as-is (this
+//!   also collapses the pipeline's report-then-trim double fixpoint into
+//!   one);
+//! * changed fingerprint → only modules whose content fingerprint changed
+//!   and shards whose recorded registry probes flip are re-analyzed from
+//!   scratch; every other shard is reused via `Arc` and deep-cloned only
+//!   if message growth actually reaches it. A reused shard is rebuilt too
+//!   when a key it read from a rebuilt shard lost something, when a
+//!   message it received is no longer sent, or when it lies on a read
+//!   cycle through a rebuilt shard (see DESIGN.md §9 for why this is
+//!   exact).
+//!
+//! The whole-program merge (lints, hazard sets, call-graph reachability)
+//! runs lazily, at most once per cached run, when a caller asks for the
+//! full result; the must-keep query ([`crate::Analyzer::accessed_attrs`])
+//! reads the shards' cached outputs and never pays for it.
 //!
 //! The cache is `Send + Sync` and is shared through `DebloatOptions`
 //! alongside the probe cache, so retrims and `analysis_probes` comparisons
 //! reuse summaries across pipeline stages.
 
 use crate::engine::worklist::Shard;
-use crate::engine::EngineOutput;
+use crate::engine::{merge, EngineOutput};
 use crate::AnalysisMode;
-use pylite::{unparse, Interner, Program};
-use std::collections::{BTreeMap, HashMap};
+use pylite::{unparse, Interner, Program, Registry};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Cache key: everything that determines a run's result besides the
 /// registry contents (which are diffed, not keyed).
@@ -50,11 +58,63 @@ pub(crate) struct CachedRun {
     pub interner: Arc<Interner>,
     /// Per-module content fingerprints at the time of the run.
     pub module_fps: BTreeMap<String, u64>,
-    /// Converged shard states (app first, then modules sorted by name).
+    /// Converged shard states (app first, then modules sorted by name),
+    /// every active one with its collect output.
     pub shards: Vec<Arc<Shard>>,
-    /// The merged engine output (behind `Arc`: cache lookups and hits must
-    /// not deep-copy the whole result).
-    pub output: Arc<EngineOutput>,
+    /// The merged engine output, built on first request (behind `Arc`:
+    /// cache hits must not deep-copy the whole result).
+    merged: OnceLock<Arc<EngineOutput>>,
+}
+
+impl CachedRun {
+    pub(crate) fn new(
+        registry_fp: u64,
+        interner: Arc<Interner>,
+        module_fps: BTreeMap<String, u64>,
+        shards: Vec<Arc<Shard>>,
+    ) -> CachedRun {
+        CachedRun {
+            registry_fp,
+            interner,
+            module_fps,
+            shards,
+            merged: OnceLock::new(),
+        }
+    }
+
+    /// Collect outputs of the active shards, in merge order.
+    fn outputs(&self) -> impl Iterator<Item = &merge::ShardOutput> {
+        self.shards
+            .iter()
+            .filter(|s| s.active)
+            .filter_map(|s| s.output.as_deref())
+    }
+
+    /// The merged whole-program result. `registry` must be the registry
+    /// the run converged against (same fingerprint): the merge consults
+    /// it for nonexistent-attribute lints and hazard routing.
+    pub(crate) fn output(&self, registry: &Registry, entry: Option<&str>) -> Arc<EngineOutput> {
+        debug_assert_eq!(registry.fingerprint(), self.registry_fp);
+        let merged = self.merged.get_or_init(|| {
+            let t = crate::spans::start();
+            let output = merge::finish(self.outputs(), registry, entry);
+            crate::spans::record(crate::spans::Phase::Finish, 0, None, t);
+            Arc::new(output)
+        });
+        Arc::clone(merged)
+    }
+
+    /// Attributes of `module` some shard definitely accesses: the merged
+    /// result's `accessed_attrs(module)`, without the merge.
+    pub(crate) fn accessed_attrs(&self, module: &str) -> BTreeSet<String> {
+        let mut attrs = BTreeSet::new();
+        for out in self.outputs() {
+            if let Some(a) = out.accessed.get(module) {
+                attrs.extend(a.iter().cloned());
+            }
+        }
+        attrs
+    }
 }
 
 /// Shared, thread-safe cache of analysis summaries (see module docs).
@@ -114,11 +174,11 @@ impl SummaryCache {
             .cloned()
     }
 
-    pub(crate) fn store(&self, key: SummaryKey, run: CachedRun) {
+    pub(crate) fn store(&self, key: SummaryKey, run: Arc<CachedRun>) {
         self.runs
             .write()
             .expect("summary cache poisoned")
-            .insert(key, Arc::new(run));
+            .insert(key, run);
     }
 
     pub(crate) fn note_hit(&self) {

@@ -4,12 +4,19 @@
 //!
 //! * **serial** — cold run, one walker thread (`jobs = 1`);
 //! * **parallel** — cold run, `jobs = 8` sharded walkers;
-//! * **incremental** — one-module registry edit against a warm summary
-//!   cache (only the edited module's reverse-dependency cone re-runs).
+//! * **incremental** — a body-only edit of one module (its published
+//!   surface unchanged) against a warm summary cache;
+//! * **commit** — the shape of a DD commit: the app's main library is
+//!   rewritten to its statically accessed attributes with
+//!   `rewrite_module`, and the must-keep query (`Analyzer::accessed_attrs`,
+//!   what the trim loops call) runs incrementally against the warm cache.
 //!
-//! Every parallel run is checked bit-identical to the serial run (call
-//! graph, lints, accessed sets, bindings, reached functions) — the
-//! determinism contract of the sharded engine, not just a smoke test.
+//! Every parallel and incremental result is checked identical to a cold
+//! serial run of the same registry (call graph, lints, accessed sets,
+//! bindings, reached functions; for the commit, the must-keep query on
+//! every module too) — the determinism and exactness contract of the
+//! sharded engine, not just a smoke test. The binary exits with status 1,
+//! before writing the JSON, if any check fails.
 //!
 //! # Parallel speedup: measured and projected
 //!
@@ -30,8 +37,8 @@
 //! over the whole corpus the way the pipeline executes one: apps are
 //! list-scheduled across the 8 workers (corpus-level parallelism), and
 //! the longest-running app — the critical path — additionally uses the
-//! sharded engine's intra-app schedule. Incremental speedup is plain
-//! measured wall time: both sides are single-threaded.
+//! sharded engine's intra-app schedule. Incremental and commit speedups
+//! are plain measured wall time: both sides are single-threaded.
 //!
 //! Usage:
 //!
@@ -46,7 +53,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use trim_analysis::spans::{self, Phase, Span};
 use trim_analysis::summary::SummaryCache;
-use trim_analysis::{analyze_full, AnalysisOptions, FullAnalysis};
+use trim_analysis::{analyze_full, AnalysisOptions, Analyzer, FullAnalysis};
 
 /// Worker count for the parallel configuration.
 const JOBS: usize = 8;
@@ -76,6 +83,26 @@ fn measure(budget: Duration, mut f: impl FnMut()) -> u64 {
         if samples.len() >= 500 {
             break;
         }
+    }
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// Median duration of `f` on `state`, which `reset` prepares, untimed,
+/// before every sample.
+fn measure_after<S>(
+    budget: Duration,
+    state: &mut S,
+    mut reset: impl FnMut(&mut S),
+    mut f: impl FnMut(&S),
+) -> u64 {
+    let mut samples: Vec<u64> = Vec::new();
+    let deadline = Instant::now() + budget;
+    while (Instant::now() < deadline || samples.len() < 5) && samples.len() < 500 {
+        reset(state);
+        let t = Instant::now();
+        f(state);
+        samples.push(t.elapsed().as_nanos() as u64);
     }
     samples.sort_unstable();
     samples[samples.len() / 2]
@@ -120,6 +147,8 @@ struct Row {
     jobs8_wall_ns: u64,
     jobs8_projected_ns: u64,
     incremental_ns: u64,
+    commit_module: String,
+    commit_ns: u64,
     identical: bool,
 }
 
@@ -142,7 +171,7 @@ fn main() {
 
         let serial_out = analyze_full(&program, &bench.registry, &opts(1, None));
         let parallel_out = analyze_full(&program, &bench.registry, &opts(JOBS, None));
-        let identical = render(&serial_out) == render(&parallel_out);
+        let mut identical = render(&serial_out) == render(&parallel_out);
 
         let serial_ns = measure(budget, || {
             std::hint::black_box(analyze_full(&program, &bench.registry, &opts(1, None)));
@@ -199,12 +228,64 @@ fn main() {
             );
             std::hint::black_box(analyze_full(&program, &work, &opts(1, Some(cache.clone()))));
         });
+        let cold =
+            |registry: &pylite::Registry| render(&analyze_full(&program, registry, &opts(1, None)));
+        identical &= render(&analyze_full(
+            &program,
+            &work,
+            &opts(1, Some(cache.clone())),
+        )) == cold(&work);
+
+        // Commit: the app's main library (its widest direct import) keeps
+        // only what the analysis says the app definitely accesses — the
+        // shape of every DD commit, whose published surface always
+        // shrinks. Each sample restores the original (untimed) and times
+        // the must-keep query on the committed registry.
+        let commit_module = serial_out
+            .analysis
+            .direct_imports
+            .iter()
+            .filter_map(|m| Some((serial_out.module_bindings.get(m)?.len(), m)))
+            .max()
+            .map(|(_, m)| m.clone())
+            .expect("corpus apps import an analyzed library");
+        let original = bench
+            .registry
+            .source(&commit_module)
+            .expect("module listed")
+            .to_owned();
+        let parsed = pylite::parse(&original).expect("corpus module parses");
+        let keep = serial_out.analysis.accessed_attrs(&commit_module);
+        let committed = pylite::unparse(&trim_core::rewrite_module(&parsed, &keep));
+        let commit_opts = opts(1, Some(SummaryCache::shared()));
+        let analyzer = Analyzer::new(&program, &commit_opts);
+        let mut work = bench.registry.clone();
+        analyzer.accessed_attrs(&work, &commit_module); // prime
+        let commit_ns = measure_after(
+            budget,
+            &mut work,
+            |work| {
+                work.set_module(&commit_module, original.clone());
+                analyzer.accessed_attrs(work, &commit_module);
+                work.set_module(&commit_module, committed.clone());
+            },
+            |work| {
+                std::hint::black_box(analyzer.accessed_attrs(work, &commit_module));
+            },
+        );
+        let scratch = analyze_full(&program, &work, &opts(1, None));
+        identical &= work
+            .module_names()
+            .iter()
+            .all(|m| analyzer.accessed_attrs(&work, m) == scratch.analysis.accessed_attrs(m));
+        identical &= render(&analyzer.full(&work)) == render(&scratch);
 
         println!(
-            "{:<24} serial {serial_ns:>9} ns | jobs=8 proj {jobs8_projected_ns:>9} ns ({:.2}x, wall {jobs8_wall_ns} ns) | incremental {incremental_ns:>9} ns ({:.2}x) | identical: {identical}",
+            "{:<24} serial {serial_ns:>9} ns | jobs=8 proj {jobs8_projected_ns:>9} ns ({:.2}x, wall {jobs8_wall_ns} ns) | incremental {incremental_ns:>9} ns ({:.2}x) | commit {commit_module} {commit_ns:>9} ns ({:.2}x) | identical: {identical}",
             bench.name,
             serial_ns as f64 / jobs8_projected_ns as f64,
             serial_ns as f64 / incremental_ns as f64,
+            serial_ns as f64 / commit_ns as f64,
         );
         rows.push(Row {
             app: bench.name.clone(),
@@ -212,6 +293,8 @@ fn main() {
             jobs8_wall_ns,
             jobs8_projected_ns,
             incremental_ns,
+            commit_module,
+            commit_ns,
             identical,
         });
     }
@@ -219,6 +302,7 @@ fn main() {
     let total_serial: u64 = rows.iter().map(|r| r.serial_ns).sum();
     let total_jobs8_wall: u64 = rows.iter().map(|r| r.jobs8_wall_ns).sum();
     let total_incremental: u64 = rows.iter().map(|r| r.incremental_ns).sum();
+    let total_commit: u64 = rows.iter().map(|r| r.commit_ns).sum();
 
     // Corpus-level jobs=8 schedule: apps run concurrently across the 8
     // workers; the longest app is the critical path and uses the sharded
@@ -241,21 +325,32 @@ fn main() {
     let jobs8_speedup = total_serial as f64 / corpus_jobs8_projected as f64;
     let jobs8_wall_speedup = total_serial as f64 / total_jobs8_wall as f64;
     let incremental_speedup = total_serial as f64 / total_incremental as f64;
-    let all_identical = rows.iter().all(|r| r.identical);
+    let commit_speedup = total_serial as f64 / total_commit as f64;
+    let differing: Vec<&str> = rows
+        .iter()
+        .filter(|r| !r.identical)
+        .map(|r| r.app.as_str())
+        .collect();
+    if !differing.is_empty() {
+        eprintln!("parallel or incremental results differ from the cold serial run: {differing:?}");
+        std::process::exit(1);
+    }
 
     let json_rows: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
-                "    {{\"app\": \"{}\", \"serial_ns\": {}, \"jobs8_wall_ns\": {}, \"jobs8_projected_ns\": {}, \"incremental_ns\": {}, \"jobs8_projected_speedup\": {:.2}, \"incremental_speedup\": {:.2}, \"identical\": {}}}",
+                "    {{\"app\": \"{}\", \"serial_ns\": {}, \"jobs8_wall_ns\": {}, \"jobs8_projected_ns\": {}, \"incremental_ns\": {}, \"commit_module\": \"{}\", \"commit_ns\": {}, \"jobs8_projected_speedup\": {:.2}, \"incremental_speedup\": {:.2}, \"commit_speedup\": {:.2}}}",
                 r.app,
                 r.serial_ns,
                 r.jobs8_wall_ns,
                 r.jobs8_projected_ns,
                 r.incremental_ns,
+                r.commit_module,
+                r.commit_ns,
                 r.serial_ns as f64 / r.jobs8_projected_ns as f64,
                 r.serial_ns as f64 / r.incremental_ns as f64,
-                r.identical
+                r.serial_ns as f64 / r.commit_ns as f64
             )
         })
         .collect();
@@ -264,26 +359,30 @@ fn main() {
                  round; barriers, merge, and untraced time serial). jobs8_speedup is the \
                  corpus-level 8-worker schedule: LPT over the other apps plus the longest \
                  app's intra-app projection. Wall fields are measured on this host \
-                 (host_cores physical workers); incremental_speedup is measured wall time, \
-                 single-threaded on both sides.";
+                 (host_cores physical workers); incremental_speedup (a body-only edit) and \
+                 commit_speedup (commit_module rewritten to its accessed attributes, timed \
+                 through the must-keep query) are measured wall time, single-threaded on \
+                 both sides. Every parallel and incremental result equals the cold serial \
+                 run (the binary fails otherwise).";
     let json = format!(
-        "{{\n  \"bench\": \"analysis_fixpoint\",\n  \"unit\": \"ns_per_analysis\",\n  \"host_cores\": {},\n  \"apps\": [\n{}\n  ],\n  \"total_serial_ns\": {},\n  \"total_jobs8_wall_ns\": {},\n  \"total_incremental_ns\": {},\n  \"corpus_jobs8_projected_ns\": {},\n  \"jobs8_speedup\": {:.2},\n  \"jobs8_wall_speedup\": {:.2},\n  \"incremental_speedup\": {:.2},\n  \"jobs8_bit_identical\": {},\n  \"model\": \"{}\"\n}}\n",
+        "{{\n  \"bench\": \"analysis_fixpoint\",\n  \"unit\": \"ns_per_analysis\",\n  \"host_cores\": {},\n  \"apps\": [\n{}\n  ],\n  \"total_serial_ns\": {},\n  \"total_jobs8_wall_ns\": {},\n  \"total_incremental_ns\": {},\n  \"total_commit_ns\": {},\n  \"corpus_jobs8_projected_ns\": {},\n  \"jobs8_speedup\": {:.2},\n  \"jobs8_wall_speedup\": {:.2},\n  \"incremental_speedup\": {:.2},\n  \"commit_speedup\": {:.2},\n  \"model\": \"{}\"\n}}\n",
         host_cores,
         json_rows.join(",\n"),
         total_serial,
         total_jobs8_wall,
         total_incremental,
+        total_commit,
         corpus_jobs8_projected,
         jobs8_speedup,
         jobs8_wall_speedup,
         incremental_speedup,
-        all_identical,
+        commit_speedup,
         model
     );
     let path = "BENCH_analysis.json";
     std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!(
-        "full corpus: jobs=8 speedup {jobs8_speedup:.2}x projected ({jobs8_wall_speedup:.2}x wall on {host_cores}-core host), one-module incremental speedup {incremental_speedup:.2}x, bit-identical: {all_identical}"
+        "full corpus: jobs=8 speedup {jobs8_speedup:.2}x projected ({jobs8_wall_speedup:.2}x wall on {host_cores}-core host), one-module incremental speedup {incremental_speedup:.2}x, commit-shaped must-keep speedup {commit_speedup:.2}x, every result identical to the cold serial run"
     );
     println!("wrote {path}");
 }

@@ -63,9 +63,9 @@ pub struct DebloatOptions {
     pub jobs: usize,
     /// Cross-run static-analysis summary cache. Share one
     /// [`trim_analysis::summary::SummaryCache`] across retrims so registry
-    /// edits only re-analyze the changed modules' dependency cone. `None`
-    /// still caches within a single pipeline run (a run-local cache is
-    /// created), just not across runs.
+    /// edits only re-analyze the changed modules and readers of keys they
+    /// lost. `None` still caches within a single pipeline run (a run-local
+    /// cache is created), just not across runs.
     pub summary_cache: Option<Arc<trim_analysis::summary::SummaryCache>>,
     /// Hazard routing: per-attribute pinning (default) or the blanket
     /// whole-module fallback baseline.

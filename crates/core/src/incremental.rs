@@ -122,8 +122,9 @@ pub fn retrim_with_log(
     .map_err(TrimError::Baseline)?;
     let app_program = pylite::parse(app_source).map_err(TrimError::Parse)?;
     // Retrims are where the summary cache earns its keep: sharing one cache
-    // across runs means only the edited modules' reverse-dependency cone is
-    // re-analyzed, and the per-module recomputations below start as hits.
+    // across runs means only the edited modules (and readers of keys they
+    // lost) are re-analyzed, and the per-module recomputations below start
+    // as hits.
     let summaries = options
         .summary_cache
         .clone()
@@ -134,7 +135,8 @@ pub fn retrim_with_log(
         jobs: options.jobs,
         summary_cache: Some(summaries),
     };
-    let full = trim_analysis::analyze_full(&app_program, registry, &analysis_options);
+    let analyzer = trim_analysis::Analyzer::new(&app_program, &analysis_options);
+    let full = analyzer.full(registry);
     let analysis = &full.analysis;
 
     let mut work = registry.clone();
@@ -153,11 +155,7 @@ pub fn retrim_with_log(
         // release the must-keeps their import lines induced.
         let must_keep = match options.analysis {
             trim_analysis::AnalysisMode::AppOnly => analysis.accessed_attrs(module),
-            trim_analysis::AnalysisMode::Interprocedural => {
-                trim_analysis::analyze_full(&app_program, &work, &analysis_options)
-                    .analysis
-                    .accessed_attrs(module)
-            }
+            trim_analysis::AnalysisMode::Interprocedural => analyzer.accessed_attrs(&work, module),
         };
 
         // Probe the seed: previous kept set ∩ current attrs ∪ must-keep.

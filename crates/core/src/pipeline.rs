@@ -128,7 +128,8 @@ pub fn trim_app(
         jobs: options.jobs,
         summary_cache: Some(summaries),
     };
-    let full = trim_analysis::analyze_full(&program, registry, &analysis_options);
+    let analyzer = trim_analysis::Analyzer::new(&program, &analysis_options);
+    let full = analyzer.full(registry);
 
     // Conservative replayability gate: modules the static analyzer
     // implicates in a debloat-soundness hazard (opaque getattr, foreign
@@ -177,15 +178,12 @@ pub fn trim_app(
         // trim drops a re-export line, the stale must-keeps it induced on
         // its submodules are released for this module's DD run.
         // The first recomputation sees an untouched working registry and is
-        // a summary-cache hit (no second fixpoint); later ones re-analyze
-        // only the trimmed modules' reverse-dependency cone.
+        // a summary-cache hit (no second fixpoint); later ones rebuild the
+        // trimmed modules and only those readers whose read keys lost
+        // something, and skip the whole-program merge.
         let mut must_keep = match options.analysis {
             AnalysisMode::AppOnly => full.analysis.accessed_attrs(module),
-            AnalysisMode::Interprocedural => {
-                trim_analysis::analyze_full(&program, &work, &analysis_options)
-                    .analysis
-                    .accessed_attrs(module)
-            }
+            AnalysisMode::Interprocedural => analyzer.accessed_attrs(&work, module),
         };
         if let Some(attrs) = pinned {
             must_keep.extend(attrs.iter().cloned());

@@ -314,6 +314,9 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
     args.check_options(&[INPUT_OPTIONS, &["jobs"]].concat(), &["hazards", "json"])?;
+    if args.has_flag("json") && !args.has_flag("hazards") {
+        return Err("--json applies only with --hazards".to_owned());
+    }
     let (registry, app_source, handler) = load_inputs_with_handler(args)?;
     let jobs = parse_jobs(args)?;
     let program = pylite::parse(&app_source).map_err(|e| e.to_string())?;

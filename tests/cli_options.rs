@@ -79,6 +79,7 @@ fn bad_options_fail_every_command_before_any_work() {
         ("profile", "no-slice", "", "unknown option"),
         ("analyze", "hazard", "", "unknown option"),
         ("analyze", "jobs", "", "needs a value"),
+        ("analyze", "json", "", "only with --hazards"),
         ("run", "engnie", "tree", "unknown option"),
         ("run", "event", "", "needs a value"),
         ("simulate", "function", "8", "unknown option"),

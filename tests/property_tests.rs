@@ -505,6 +505,25 @@ fn trim_on_random_library_is_sound() {
 // Incremental re-analysis
 // ---------------------------------------------------------------------------
 
+/// Every field of two full analyses is equal.
+fn assert_same(
+    a: &lambda_trim::trim_analysis::FullAnalysis,
+    b: &lambda_trim::trim_analysis::FullAnalysis,
+    what: &str,
+) {
+    assert_eq!(a.analysis, b.analysis, "{what}: analysis");
+    assert_eq!(
+        a.load_time_accessed, b.load_time_accessed,
+        "{what}: load_time"
+    );
+    assert_eq!(a.module_bindings, b.module_bindings, "{what}: bindings");
+    assert_eq!(a.lints, b.lints, "{what}: lints");
+    assert_eq!(a.hazard_modules, b.hazard_modules, "{what}: hazards");
+    assert_eq!(a.hazard_attrs, b.hazard_attrs, "{what}: hazard attrs");
+    assert_eq!(a.call_graph, b.call_graph, "{what}: call graph");
+    assert_eq!(a.reached_functions, b.reached_functions, "{what}: reached");
+}
+
 /// Generate a random module source over a fixed universe of module names:
 /// plain assignments, functions, and cross-module imports/accesses.
 fn random_analysis_module(rng: &mut Rng, universe: &[String], this: usize) -> String {
@@ -536,21 +555,7 @@ fn random_analysis_module(rng: &mut Rng, universe: &[String], this: usize) -> St
 /// through a warm summary cache is identical to analysis from scratch.
 #[test]
 fn incremental_reanalysis_matches_from_scratch() {
-    use lambda_trim::trim_analysis::{analyze_full, AnalysisOptions, FullAnalysis};
-
-    fn assert_same(a: &FullAnalysis, b: &FullAnalysis, what: &str) {
-        assert_eq!(a.analysis, b.analysis, "{what}: analysis");
-        assert_eq!(
-            a.load_time_accessed, b.load_time_accessed,
-            "{what}: load_time"
-        );
-        assert_eq!(a.module_bindings, b.module_bindings, "{what}: bindings");
-        assert_eq!(a.lints, b.lints, "{what}: lints");
-        assert_eq!(a.hazard_modules, b.hazard_modules, "{what}: hazards");
-        assert_eq!(a.hazard_attrs, b.hazard_attrs, "{what}: hazard attrs");
-        assert_eq!(a.call_graph, b.call_graph, "{what}: call graph");
-        assert_eq!(a.reached_functions, b.reached_functions, "{what}: reached");
-    }
+    use lambda_trim::trim_analysis::{analyze_full, AnalysisOptions};
 
     let mut rng = Rng::seed_from_u64(0x1ac5);
     for case in 0..24 {
@@ -604,6 +609,158 @@ fn incremental_reanalysis_matches_from_scratch() {
     }
 }
 
+/// A random library module for commit-shaped edits over a universe of
+/// module names: constants and module-valued names (some read through
+/// another module), re-exporting from-imports, tuple and dict literals
+/// holding modules, functions whose return depends on a top-level import
+/// or on their callers' arguments, and a class.
+fn random_commit_module(rng: &mut Rng, universe: &[String], this: usize) -> String {
+    let mut src = String::new();
+    let deps: Vec<String> = (0..rng.usize_inclusive(1, 2))
+        .map(|_| rng.usize_inclusive(0, universe.len() - 1))
+        .filter(|&d| d != this)
+        .map(|d| universe[d].clone())
+        .collect();
+    for dep in &deps {
+        src.push_str(&format!("import {dep}\n"));
+    }
+    // One of this module's imports, or `None` (one time in `len + 1`).
+    let pick = |rng: &mut Rng| deps.get(rng.usize_inclusive(0, deps.len())).cloned();
+    for a in 0..rng.usize_inclusive(1, 4) {
+        match pick(rng) {
+            Some(dep) if rng.bool() => src.push_str(&format!("val{a} = {dep}\n")),
+            Some(dep) => src.push_str(&format!(
+                "val{a} = {dep}.val{}\n",
+                rng.usize_inclusive(0, 2)
+            )),
+            None => src.push_str(&format!("val{a} = {}\n", rng.usize_inclusive(0, 9))),
+        }
+    }
+    if let Some(dep) = pick(rng) {
+        src.push_str(&format!("from {dep} import val0, val1 as alias1\n"));
+    }
+    if let Some(dep) = pick(rng) {
+        src.push_str(&format!("pair = ({dep}, val0)\nbox = {{\"m\": {dep}}}\n"));
+    }
+    for f in 0..rng.usize_inclusive(0, 2) {
+        match (pick(rng), rng.usize_inclusive(0, 2)) {
+            (Some(dep), 0) => src.push_str(&format!("def fn{f}(x):\n    return {dep}\n")),
+            (Some(dep), 1) => src.push_str(&format!(
+                "def fn{f}(x):\n    return x.val{f}\nfn{f}({dep})\n"
+            )),
+            _ => src.push_str(&format!("def fn{f}(x):\n    return x\n")),
+        }
+    }
+    if rng.bool() {
+        src.push_str(
+            "class Tool:\n    def __init__(self, m):\n        self.m = m\n    def run(self):\n        return val0\n",
+        );
+    }
+    src
+}
+
+/// Trim-shaped commits: modules are rewritten one after another with
+/// `rewrite_module` to their must-keep set plus a random subset of their
+/// other attributes, as `trim_app`'s DD commits do (one commit in four
+/// ignores the must-keep set). After every commit the
+/// must-keep query matches a from-scratch analysis on every module, and an
+/// incremental `analyze_full` matches it on every field. The graphs
+/// include a star-import reader and a package whose commit drops the
+/// import of its own submodule (which deactivates that submodule).
+#[test]
+fn must_keep_query_matches_scratch_after_commits() {
+    use lambda_trim::trim_analysis::summary::SummaryCache;
+    use lambda_trim::trim_analysis::{analyze_full, AnalysisOptions, Analyzer};
+
+    let mut rng = Rng::seed_from_u64(0x6b17);
+    for case in 0..64 {
+        let universe: Vec<String> = (0..rng.usize_inclusive(3, 6))
+            .map(|i| format!("mod{i}"))
+            .collect();
+        let mut registry = pylite::Registry::new();
+        for (i, name) in universe.iter().enumerate() {
+            registry.set_module(name, random_commit_module(&mut rng, &universe, i));
+        }
+        // A package importing its own submodule; only the package's import
+        // activates `pkg.sub`.
+        registry.set_module(
+            "pkg",
+            format!(
+                "import pkg.sub\nfrom {} import val0\nflag = 1\ndef go(x):\n    return pkg.sub.value\n",
+                universe[0]
+            ),
+        );
+        registry.set_module(
+            "pkg.sub",
+            "import mod1\nvalue = mod1\ndef helper(x):\n    return x.val0\n",
+        );
+        let star = &universe[rng.usize_inclusive(0, universe.len() - 1)];
+        let mut app = format!("import pkg\nfrom {star} import *\nf = pkg.flag\n");
+        // Each read shape ends in its own attribute name, so a stale origin
+        // anywhere along it shows up in the accessed sets.
+        for name in &universe {
+            let line = match rng.usize_inclusive(0, 6) {
+                0 => format!("import {name}\nx_{name} = {name}.val0.via_name\n"),
+                1 => format!("from {name} import val1\nv_{name} = val1.via_from\n"),
+                2 => format!("import {name}\ny_{name} = {name}.fn0({name}).via_func\n"),
+                3 => format!("import {name}\np_{name} = {name}.pair[0].via_seq\n"),
+                4 => format!("import {name}\nb_{name} = {name}.box[\"m\"].via_map\n"),
+                5 => format!("import {name}\nt_{name} = {name}.Tool({name}).run().via_method\n"),
+                _ => String::new(),
+            };
+            app.push_str(&line);
+        }
+        if rng.bool() {
+            app.push_str("s = pkg.sub.value.val1\n");
+        }
+        app.push_str("def handler(event, context):\n    return pkg.go(event)\n");
+        let program = pylite::parse(&app).expect("generated app parses");
+
+        let query_opts = AnalysisOptions {
+            summary_cache: Some(SummaryCache::shared()),
+            ..AnalysisOptions::default()
+        };
+        let full_opts = AnalysisOptions {
+            summary_cache: Some(SummaryCache::shared()),
+            ..AnalysisOptions::default()
+        };
+        let query = Analyzer::new(&program, &query_opts);
+        analyze_full(&program, &registry, &full_opts);
+
+        let mut order: Vec<String> = registry.module_names();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.usize_inclusive(0, i));
+        }
+        for module in &order {
+            // Most commits keep the must-keep set, as DD's do; the rest
+            // drop names readers still use, which no DD commit does. `pkg`
+            // (bound by `import pkg.sub` inside `pkg`) is always dropped
+            // unless must-kept, so committing `pkg` deactivates `pkg.sub`.
+            let respect = rng.usize_inclusive(0, 3) != 0;
+            let must_keep = query.accessed_attrs(&registry, module);
+            let parsed = registry.parse_module(module).expect("module parses");
+            let keep: BTreeSet<String> = trim_core::module_attributes(&parsed)
+                .into_iter()
+                .filter(|a| (respect && must_keep.contains(a)) || (a != "pkg" && rng.bool()))
+                .collect();
+            let rewritten = trim_core::rewrite_module(&parsed, &keep);
+            registry.set_module(module, pylite::unparse(&rewritten));
+
+            let what = format!("case {case}, after committing {module}");
+            let scratch = analyze_full(&program, &registry, &AnalysisOptions::default());
+            for m in registry.module_names() {
+                assert_eq!(
+                    query.accessed_attrs(&registry, &m),
+                    scratch.analysis.accessed_attrs(&m),
+                    "{what}: must-keep of {m}"
+                );
+            }
+            let incremental = analyze_full(&program, &registry, &full_opts);
+            assert_same(&scratch, &incremental, &what);
+        }
+    }
+}
+
 /// A random module whose public surface the hazard lattice must track:
 /// `a0`/`a1` always exist (the apps below getattr them), plus a random
 /// tail of functions, constants and an occasional underscore-private.
@@ -626,9 +783,9 @@ fn random_hazardous_module(rng: &mut Rng) -> String {
 /// warm summary cache yields hazard sets byte-identical to analysis from
 /// scratch, for every hazard kind (bounded getattr, opaque getattr,
 /// star-import, module rebinding). Every case includes a surface-shrinking
-/// edit, which exercises the engine's poison-retry escalation (a rebuilt
-/// shard whose published surface shrank forces the pessimistic rebuild of
-/// its reverse read-dependency cone).
+/// edit, which exercises the engine's poison-retry path (a rebuilt shard
+/// whose published surface shrank forces a retry that also rebuilds the
+/// clean readers whose read keys lost something).
 #[test]
 fn incremental_hazard_sets_match_scratch_on_hazardous_edits() {
     use lambda_trim::trim_analysis::{analyze_full, AnalysisOptions};
