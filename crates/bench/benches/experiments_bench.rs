@@ -4,8 +4,8 @@
 //! rows/series themselves come from `--bin experiments`.
 
 use lambda_sim::{
-    generate_trace, nearest_function, simulate_pool, CheckpointModel, Platform, SnapStartPricing,
-    StartMode, TraceConfig,
+    generate_trace, nearest_function, simulate_pool, CheckpointModel, Platform, PoolOptions,
+    SnapStartPricing, StartMode, TraceConfig,
 };
 use std::hint::black_box;
 use trim_bench::harness::*;
@@ -133,13 +133,24 @@ fn main() {
             black_box(generate_trace(&config).functions.len())
         });
         let trace = generate_trace(&config);
+        let pool = PoolOptions {
+            mode: StartMode::Restore,
+            ..PoolOptions::default()
+        };
         runner.bench("exp/fig13-trace-sim/pool-sim-100fns", || {
             let mut cold = 0u64;
             for f in &trace.functions {
                 let profile =
                     lambda_sim::AppProfile::new("f", 64.0, 0.5, f.duration_ms / 1000.0, f.mem_mb);
-                cold += simulate_pool(&platform, &profile, &f.arrivals, 900.0, StartMode::Restore)
-                    .cold_starts;
+                cold += simulate_pool(
+                    &platform,
+                    &profile,
+                    f.arrivals.iter().copied(),
+                    &pool,
+                    |_| {},
+                )
+                .expect("generated arrivals are sorted")
+                .cold_starts;
             }
             black_box(cold)
         });

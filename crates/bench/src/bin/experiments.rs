@@ -15,9 +15,7 @@
 //! tier benchmark `vm` (per-oracle-run VM vs tree-walker wall clock plus
 //! inline-cache hit rates, writes `BENCH_vm.json`), the CI differential
 //! smoke `vm-smoke` (one corpus app trimmed under both engines must yield
-//! identical reports), the CI replay smoke `replay-smoke` (event-driven
-//! vs naive pool engine on the golden fixture plus a small streamed fleet
-//! across worker counts), the init-snapshot memoization benchmark `memo`
+//! identical reports), the init-snapshot memoization benchmark `memo`
 //! (per-probe init wall clock with snapshot replay vs live execution on
 //! the deep-import corpus slice, writes `BENCH_memo.json`), the CI
 //! memoization smoke `memo-smoke` (one deep-import app trimmed with the
@@ -34,11 +32,10 @@
 //! usage line and exits with status 2 before any experiment runs.
 
 use lambda_sim::metrics::{cdf, mean, median, percentile};
-use lambda_sim::trace::replay::render_metrics_json;
 use lambda_sim::{
-    generate_trace, load_trace_csv, nearest_function, render_fleet_metrics_json, replay_fleet,
-    replay_trace, simulate_pool_ext_naive_traced, simulate_pool_ext_traced, AppProfile,
-    CheckpointModel, PoolOptions, ReplayOptions, SnapStartPricing, StartMode, TraceConfig,
+    generate_trace, load_trace_csv, nearest_function, render_metrics_json, replay_fleet,
+    replay_trace, simulate_pool, AppProfile, CheckpointModel, PoolOptions, ReplayOptions,
+    SnapStartPricing, StartMode, TraceConfig,
 };
 use trim_bench::harness::*;
 use trim_core::{invoke_with_fallback, FallbackInstanceState};
@@ -51,7 +48,7 @@ const ALL: [&str; 20] = [
 ];
 
 /// CI smokes, run only when named.
-const SMOKES: [&str; 4] = ["vm-smoke", "replay-smoke", "memo-smoke", "slice-smoke"];
+const SMOKES: [&str; 3] = ["vm-smoke", "memo-smoke", "slice-smoke"];
 
 const USAGE: &str = "usage: experiments [--jobs N] [all | <id>...]";
 
@@ -137,7 +134,6 @@ fn main() {
             "ext" => ext(),
             "probe" => probe(),
             "replay" => replay_bench(jobs),
-            "replay-smoke" => replay_smoke(jobs),
             "hazard" => hazard(jobs),
             "vm" => vm_bench(),
             "vm-smoke" => vm_smoke(),
@@ -806,15 +802,18 @@ fn ext() {
     let matched = nearest_function(&trace.functions, before.mem_mb, before.exec_secs * 1000.0)
         .expect("trace nonempty");
     let run = |profile: &lambda_sim::AppProfile, provisioned: usize| {
-        lambda_sim::simulate_pool_ext(
+        let pool = PoolOptions {
+            provisioned,
+            ..PoolOptions::default()
+        };
+        simulate_pool(
             &platform,
             profile,
-            &matched.arrivals,
-            &lambda_sim::PoolOptions {
-                provisioned,
-                ..lambda_sim::PoolOptions::default()
-            },
+            matched.arrivals.iter().copied(),
+            &pool,
+            |_| {},
         )
+        .expect("trace arrivals are sorted")
     };
     println!(
         "{:<26} {:>8} {:>12} {:>12}",
@@ -1032,33 +1031,25 @@ fn replay_bench(jobs: usize) {
         per_sec
     );
 
-    // (c) Event-driven vs naive pool engine on burst-heavy workloads —
-    // the regime where the naive per-arrival scan is quadratic (every
-    // arrival rescans a pool that bursts keep large). Stats must agree
-    // exactly; the speedup is what the event-driven rewrite buys.
+    // (c) The pool engine on burst-heavy workloads — the regime where a
+    // per-arrival scan over every live instance goes quadratic (bursts keep
+    // the pool large). The event engine stays near-linear here.
     let burst_rows: Vec<String> = burst_configs()
         .iter()
         .map(|cfg| {
             let (arrivals, app, pool) = cfg.build();
             let t = std::time::Instant::now();
-            let naive = simulate_pool_ext_naive_traced(&platform, &app, &arrivals, &pool, |_| {});
-            let naive_s = t.elapsed().as_secs_f64();
-            let t = std::time::Instant::now();
-            let event = simulate_pool_ext_traced(&platform, &app, &arrivals, &pool, |_| {});
+            simulate_pool(&platform, &app, arrivals.iter().copied(), &pool, |_| {})
+                .expect("burst arrivals are sorted");
             let event_s = t.elapsed().as_secs_f64();
-            assert_eq!(naive, event, "{}: engines diverged", cfg.name);
-            let speedup = naive_s / event_s.max(1e-9);
             println!(
-                "burst `{}`: {} arrivals, naive {:.3} s, event {:.4} s = {:.1}x",
+                "burst `{}`: {} arrivals, event engine {:.4} s",
                 cfg.name,
                 arrivals.len(),
-                naive_s,
                 event_s,
-                speedup
             );
             format!(
-                "    {{\"config\": \"{}\", \"arrivals\": {}, \"naive_s\": {naive_s:.4}, \
-                 \"event_s\": {event_s:.4}, \"speedup\": {speedup:.1}}}",
+                "    {{\"config\": \"{}\", \"arrivals\": {}, \"event_s\": {event_s:.4}}}",
                 cfg.name,
                 arrivals.len()
             )
@@ -1104,7 +1095,7 @@ fn replay_bench(jobs: usize) {
          \"fixture\": \"tests/golden/azure_trace_sample.csv\",\n  \"jobs\": {jobs},\n  \
          \"host_cores\": {},\n  \"synthetic_functions\": {},\n  \"synthetic_invocations\": {},\n  \
          \"elapsed_s\": {elapsed:.3},\n  \"pool_invocations_per_sec\": {per_sec:.0},\n  \
-         \"burst_engine_comparison\": [\n{}\n  ],\n  \"fleet_scaling\": [\n{}\n  ],\n  \
+         \"burst_pool\": [\n{}\n  ],\n  \"fleet_scaling\": [\n{}\n  ],\n  \
          \"metrics\":\n{indented}\n}}\n",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         synthetic.functions.len(),
@@ -1120,8 +1111,8 @@ fn replay_bench(jobs: usize) {
 /// A deterministic burst-heavy workload: `bursts` bursts of `burst_size`
 /// simultaneous arrivals, `gap_secs` apart, against a long-running app
 /// with a long keep-alive — so the live pool holds
-/// `burst_size × exec_secs / gap_secs` instances and the naive engine's
-/// per-arrival scan goes quadratic.
+/// `burst_size × exec_secs / gap_secs` instances and a per-arrival scan
+/// over them would go quadratic.
 struct BurstConfig {
     name: &'static str,
     bursts: usize,
@@ -1170,10 +1161,8 @@ fn burst_configs() -> Vec<BurstConfig> {
             exec_secs: 600.0,
             max_concurrency: None,
         },
-        // Parity reference, not a speedup target: a concurrency cap bounds
-        // the pool at `cap` instances, so the naive scan is O(cap) and
-        // never quadratic — this row documents that the event engine stays
-        // competitive even where the old engine was not the bottleneck.
+        // Reference row: a concurrency cap bounds the pool at `cap`
+        // instances, so pool size is not what this row's time measures.
         BurstConfig {
             name: "capped_parity_reference",
             bursts: 200,
@@ -1183,91 +1172,6 @@ fn burst_configs() -> Vec<BurstConfig> {
             max_concurrency: Some(32),
         },
     ]
-}
-
-// ---------------------------------------------------------------------------
-// Replay smoke (CI): engine differential + streamed fleet determinism.
-// ---------------------------------------------------------------------------
-fn replay_smoke(jobs: usize) {
-    banner("Replay smoke — engine differential + small streamed fleet");
-    let platform = default_platform();
-
-    // Event-driven engine must match the naive oracle on the golden
-    // fixture, function by function, under both capped and uncapped pools.
-    let fixture = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/golden/azure_trace_sample.csv"
-    );
-    let trace = load_trace_csv(fixture, 0xA57AC3).expect("golden fixture parses");
-    let mut checked = 0usize;
-    for function in &trace.functions {
-        let app = AppProfile::new(
-            function.name.clone(),
-            64.0,
-            0.5,
-            function.duration_ms / 1000.0,
-            function.mem_mb,
-        );
-        for max_concurrency in [None, Some(2)] {
-            let pool = PoolOptions {
-                max_concurrency,
-                window_secs: trace.window_secs,
-                ..PoolOptions::default()
-            };
-            let naive =
-                simulate_pool_ext_naive_traced(&platform, &app, &function.arrivals, &pool, |_| {});
-            let event =
-                simulate_pool_ext_traced(&platform, &app, &function.arrivals, &pool, |_| {});
-            assert_eq!(naive, event, "{}: engines diverged", function.name);
-            checked += 1;
-        }
-    }
-    println!("engine differential: {checked} (function × pool) cases identical");
-
-    // One quick burst config through both engines.
-    let cfg = BurstConfig {
-        name: "smoke_burst",
-        bursts: 50,
-        burst_size: 80,
-        gap_secs: 30.0,
-        exec_secs: 120.0,
-        max_concurrency: None,
-    };
-    let (arrivals, app, pool) = cfg.build();
-    let naive = simulate_pool_ext_naive_traced(&platform, &app, &arrivals, &pool, |_| {});
-    let event = simulate_pool_ext_traced(&platform, &app, &arrivals, &pool, |_| {});
-    assert_eq!(naive, event, "smoke burst: engines diverged");
-    println!("burst differential: {} arrivals identical", arrivals.len());
-
-    // Small streamed fleet: byte-identical metrics across worker counts,
-    // and identical to what this invocation's --jobs produces.
-    let config = TraceConfig {
-        functions: 200,
-        window_secs: 4.0 * 3600.0,
-        ..TraceConfig::default()
-    };
-    let renders: Vec<String> = [1usize, jobs.max(2)]
-        .into_iter()
-        .map(|j| {
-            let options = ReplayOptions {
-                jobs: j,
-                ..ReplayOptions::default()
-            };
-            render_fleet_metrics_json(
-                &replay_fleet(&platform, &config, &options).expect("smoke fleet config is valid"),
-            )
-        })
-        .collect();
-    assert_eq!(
-        renders[0], renders[1],
-        "streamed fleet metrics must be byte-identical across worker counts"
-    );
-    println!(
-        "fleet determinism: {} functions streamed, jobs 1 == jobs {}",
-        config.functions,
-        jobs.max(2)
-    );
-    println!("replay smoke OK");
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 //! the platform-level quantities every table/figure consumes.
 
 use lambda_sim::{
-    simulate_pool, AppProfile, CheckpointModel, Platform, PricingModel, SnapStartPricing, StartMode,
+    simulate_pool, AppProfile, CheckpointModel, Platform, PoolOptions, PricingModel,
+    SnapStartPricing, StartMode,
 };
 use trim_apps::BenchApp;
 use trim_core::{trim_app, trim_corpus_parallel, CorpusJob, DebloatOptions, Execution, TrimReport};
@@ -184,16 +185,16 @@ pub fn snapstart_account(
     keep_alive_secs: f64,
     window_secs: f64,
 ) -> SnapStartAccount {
-    let stats = simulate_pool(
-        platform,
-        profile,
-        arrivals,
+    let pool = PoolOptions {
         keep_alive_secs,
-        StartMode::Restore,
-    );
+        mode: StartMode::Restore,
+        ..PoolOptions::default()
+    };
+    let stats = simulate_pool(platform, profile, arrivals.iter().copied(), &pool, |_| {})
+        .expect("trace arrivals are sorted");
     let snapshot_mb = checkpoint.snapshot_mb(profile.mem_mb);
     SnapStartAccount {
-        invocation_cost: stats.total_cost,
+        invocation_cost: stats.invocation_cost,
         snapstart_cost: pricing.window_cost(snapshot_mb, window_secs, stats.cold_starts),
         cold_starts: stats.cold_starts,
         invocations: stats.invocations(),

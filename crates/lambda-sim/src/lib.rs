@@ -5,14 +5,19 @@
 //!
 //! * [`pricing`] — Equation (1) billing with per-platform rounding, the
 //!   128 MB minimum threshold, and SnapStart restore/cache pricing;
-//! * [`platform`] — cold/warm start lifecycle phases (Figure 1), a
-//!   keep-alive instance pool, and invocation cost/latency accounting;
+//! * [`platform`] — cold/warm start lifecycle phases (Figure 1) and
+//!   invocation cost/latency accounting;
+//! * [`pool`] — the keep-alive instance pool, with provisioned
+//!   concurrency, concurrency limits and queueing: one event-driven engine
+//!   behind [`simulate_pool`];
 //! * [`snapshot`] — the CRIU/SnapStart checkpoint/restore cost model (§8.6);
 //! * [`trace`] — invocation traces (Figures 13–14): a seeded synthetic
 //!   Azure-Functions-style generator with diurnal modulation, a loader for
 //!   the Azure-dataset CSV schema with deterministic arrival
-//!   reconstruction, L2 nearest-function matching, and an event-driven
-//!   replay engine across start modes and keep-alive settings;
+//!   reconstruction, L2 nearest-function matching, and one replay core
+//!   across start modes and keep-alive settings, fed by a materialized
+//!   trace ([`replay_trace`]) or a streamed synthetic fleet
+//!   ([`replay_fleet`]);
 //! * [`metrics`] — means/medians/percentiles/CDFs for the harnesses.
 //!
 //! # Example
@@ -39,20 +44,15 @@ pub mod snapshot;
 pub mod trace;
 
 pub use platform::{
-    simulate_pool, AppProfile, Invocation, PhaseBreakdown, Platform, PlatformConfig, PoolStats,
-    StartKind, StartMode,
+    AppProfile, Invocation, PhaseBreakdown, Platform, PlatformConfig, StartKind, StartMode,
 };
-pub use pool::{
-    simulate_pool_ext, simulate_pool_ext_naive_traced, simulate_pool_ext_stream_traced,
-    simulate_pool_ext_traced, try_simulate_pool_ext, try_simulate_pool_ext_traced,
-    validate_arrivals, ExtPoolStats, PoolError, PoolEvent, PoolOptions,
-};
+pub use pool::{simulate_pool, PoolError, PoolEvent, PoolOptions, PoolStats};
 pub use pricing::{PricingModel, Rounding, SnapStartPricing};
 pub use providers::{min_visible_saving_ms, providers, quote_all, Provider, ProviderQuote};
 pub use snapshot::CheckpointModel;
 pub use trace::{
-    generate_trace, load_trace_csv, nearest_function, parse_trace_csv, render_fleet_metrics_json,
+    generate_trace, load_trace_csv, nearest_function, parse_trace_csv, render_metrics_json,
     replay_fleet, replay_trace, synthesize_function, ArrivalClass, DiurnalProfile, FleetReport,
-    FleetVariantReport, FunctionReplay, FunctionTrace, ReplayOptions, ReplayReport,
-    SyntheticFunction, TraceConfig, TraceError, TraceSet, TraceSource, VariantReport,
+    FunctionTrace, ReplayOptions, ReplayReport, SyntheticFunction, TraceConfig, TraceError,
+    TraceSet, TraceSource, VariantReport,
 };

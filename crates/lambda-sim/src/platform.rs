@@ -1,5 +1,6 @@
-//! The serverless execution model: cold/warm starts, lifecycle phases, and a
-//! keep-alive instance pool (§2.1, Figure 1 of the paper).
+//! The serverless execution model: cold/warm starts and their lifecycle
+//! phases (§2.1, Figure 1 of the paper). The keep-alive instance pool that
+//! decides which starts are cold lives in [`crate::pool`].
 //!
 //! An invocation's lifecycle is:
 //!
@@ -202,93 +203,6 @@ impl Platform {
     }
 }
 
-/// Result of simulating a stream of arrivals through the keep-alive pool.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PoolStats {
-    /// Number of cold starts.
-    pub cold_starts: u64,
-    /// Number of warm starts.
-    pub warm_starts: u64,
-    /// Sum of invocation costs in dollars.
-    pub total_cost: f64,
-    /// Sum of end-to-end latencies in seconds.
-    pub total_e2e_secs: f64,
-    /// Peak number of concurrently live instances.
-    pub peak_instances: usize,
-}
-
-impl PoolStats {
-    /// Total invocations.
-    pub fn invocations(&self) -> u64 {
-        self.cold_starts + self.warm_starts
-    }
-
-    /// Fraction of invocations that were cold.
-    pub fn cold_fraction(&self) -> f64 {
-        let n = self.invocations();
-        if n == 0 {
-            0.0
-        } else {
-            self.cold_starts as f64 / n as f64
-        }
-    }
-}
-
-/// Simulate a full arrival process through a keep-alive instance pool.
-///
-/// `arrivals` must be sorted ascending (seconds from window start). Each
-/// arrival reuses an idle, unexpired instance when one exists (warm start),
-/// otherwise boots a new one (cold start). An instance expires `keep_alive`
-/// seconds after it last finished a request.
-pub fn simulate_pool(
-    platform: &Platform,
-    app: &AppProfile,
-    arrivals: &[f64],
-    keep_alive_secs: f64,
-    mode: StartMode,
-) -> PoolStats {
-    #[derive(Clone, Copy)]
-    struct Instance {
-        free_at: f64,
-        expires_at: f64,
-    }
-    let mut instances: Vec<Instance> = Vec::new();
-    let mut stats = PoolStats::default();
-    for &t in arrivals {
-        // Reap expired instances (expired before this arrival and idle).
-        instances.retain(|i| !(i.free_at <= t && i.expires_at < t));
-        // Find an idle warm instance: free and not expired.
-        let idle = instances
-            .iter_mut()
-            .filter(|i| i.free_at <= t && i.expires_at >= t)
-            .max_by(|a, b| a.free_at.total_cmp(&b.free_at));
-        let inv = match idle {
-            Some(slot) => {
-                let inv = platform.warm_invocation(app);
-                let finish = t + inv.e2e_secs();
-                slot.free_at = finish;
-                slot.expires_at = finish + keep_alive_secs;
-                stats.warm_starts += 1;
-                inv
-            }
-            None => {
-                let inv = platform.cold_invocation(app, mode);
-                let finish = t + inv.e2e_secs();
-                instances.push(Instance {
-                    free_at: finish,
-                    expires_at: finish + keep_alive_secs,
-                });
-                stats.cold_starts += 1;
-                inv
-            }
-        };
-        stats.total_cost += inv.cost;
-        stats.total_e2e_secs += inv.e2e_secs();
-        stats.peak_instances = stats.peak_instances.max(instances.len());
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,48 +264,6 @@ mod tests {
         let std = p.cold_invocation(&tiny, StartMode::Standard);
         let cr = p.cold_invocation(&tiny, StartMode::Restore);
         assert!(cr.phases.function_init_secs > std.phases.function_init_secs);
-    }
-
-    #[test]
-    fn pool_reuses_warm_instances() {
-        let p = Platform::default();
-        let app = AppProfile::new("a", 50.0, 0.5, 0.1, 200.0);
-        // Arrivals far enough apart to finish, close enough to stay warm.
-        let arrivals = vec![0.0, 10.0, 20.0, 30.0];
-        let stats = simulate_pool(&p, &app, &arrivals, 900.0, StartMode::Standard);
-        assert_eq!(stats.cold_starts, 1);
-        assert_eq!(stats.warm_starts, 3);
-    }
-
-    #[test]
-    fn pool_expires_idle_instances() {
-        let p = Platform::default();
-        let app = AppProfile::new("a", 50.0, 0.5, 0.1, 200.0);
-        let arrivals = vec![0.0, 10_000.0];
-        let stats = simulate_pool(&p, &app, &arrivals, 60.0, StartMode::Standard);
-        assert_eq!(stats.cold_starts, 2, "keep-alive elapsed between arrivals");
-    }
-
-    #[test]
-    fn pool_bursts_force_concurrent_cold_starts() {
-        let p = Platform::default();
-        let app = AppProfile::new("a", 50.0, 0.5, 2.0, 200.0);
-        // Three simultaneous arrivals — no instance is free.
-        let arrivals = vec![0.0, 0.0, 0.0];
-        let stats = simulate_pool(&p, &app, &arrivals, 900.0, StartMode::Standard);
-        assert_eq!(stats.cold_starts, 3);
-        assert_eq!(stats.peak_instances, 3);
-    }
-
-    #[test]
-    fn pool_stats_cold_fraction() {
-        let s = PoolStats {
-            cold_starts: 1,
-            warm_starts: 3,
-            ..PoolStats::default()
-        };
-        assert!((s.cold_fraction() - 0.25).abs() < 1e-12);
-        assert_eq!(PoolStats::default().cold_fraction(), 0.0);
     }
 
     #[test]

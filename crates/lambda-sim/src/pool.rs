@@ -1,10 +1,13 @@
-//! Extended instance-pool simulation: provisioned concurrency, account
-//! concurrency limits, and request queueing.
+//! The keep-alive instance pool: warm reuse, keep-alive expiry,
+//! provisioned concurrency, concurrency limits and request queueing.
 //!
-//! The basic keep-alive pool lives in [`crate::platform::simulate_pool`];
-//! this module adds the platform features the paper's related work cites
-//! (§3.1: provisioned concurrency, pre-warming) so their cost/latency
-//! trade-offs can be compared against debloating:
+//! [`simulate_pool`] drives a sorted arrival stream through one function's
+//! pool. Each arrival reuses an idle, unexpired instance when one exists
+//! (a warm start) and boots a new one otherwise (a cold start); an
+//! instance expires `keep_alive_secs` after it last finished a request.
+//! Two platform features from the paper's related work (§3.1) ride on the
+//! same pool, so their cost/latency trade-offs can be compared against
+//! debloating:
 //!
 //! * **provisioned concurrency** — `n` instances are initialized ahead of
 //!   time and never expire; requests landing on them are always warm, but
@@ -14,38 +17,33 @@
 //!   at once; excess arrivals queue and their queueing delay is added to
 //!   E2E latency.
 //!
-//! # Engines
+//! With both features off this is the plain keep-alive pool.
 //!
-//! Two implementations share one contract:
+//! # Engine
 //!
-//! * the **event-driven engine** (the default behind every public entry
-//!   point) keeps busy instances in a min-heap on `free_at` and idle
-//!   instances in ordered multisets, so each arrival costs `O(log n)`
-//!   amortized instead of the naive `O(n)` scan — the difference between
-//!   linear and quadratic behavior under bursts;
-//! * the **naive reference engine** ([`simulate_pool_ext_naive_traced`])
-//!   retains the original `Vec<Instance>` + `retain`/`filter`/`sort_by`
-//!   per-arrival loop. It exists purely as the differential-testing oracle:
-//!   both engines must produce byte-identical [`ExtPoolStats`] and
-//!   [`PoolEvent`] streams on every input.
+//! The engine is event-driven: busy instances sit in a min-heap on
+//! `free_at` and idle instances in ordered multisets, so each arrival costs
+//! `O(log n)` amortized where a scan over every live instance costs `O(n)`
+//! — the difference between linear and quadratic behavior under bursts.
 //!
-//! The equivalence rests on a structural invariant of the pool: a
+//! That is sound because of a structural invariant of the pool: a
 //! non-provisioned instance always satisfies
 //! `expires_at == free_at + keep_alive_secs` (set identically on creation
 //! and on every warm reuse), and a provisioned instance never expires. An
 //! instance's observable state is therefore exactly `(free_at,
-//! provisioned)`, which is what the event-driven engine's ordered
-//! containers key on; instances that tie on that pair are interchangeable,
-//! so heap/multiset tie-breaking cannot diverge from the naive engine's
-//! iteration-order tie-breaking.
+//! provisioned)`, which is what the ordered containers key on; instances
+//! that tie on that pair are interchangeable, so heap/multiset
+//! tie-breaking cannot change which request is warm. The test suite keeps
+//! the per-arrival `Vec` scan the engine replaced as a reference engine
+//! (`tests/naive_pool/mod.rs`), and differential tests pin stats and
+//! [`PoolEvent`] streams byte-identical to it.
 //!
 //! # Expiry boundary
 //!
 //! Keep-alive expiry is **exclusive**: an idle instance is reaped when
 //! `expires_at < now` and still usable when `expires_at == now`. With
 //! `keep_alive_secs == 0` a queued request dispatching at the exact instant
-//! its slot frees therefore still reuses it warm. Both engines pin this
-//! boundary (see `expiry_boundary_is_exclusive_on_both_engines`).
+//! its slot frees therefore still reuses it warm.
 
 use crate::platform::{AppProfile, Platform, StartKind, StartMode};
 use std::cmp::Reverse;
@@ -55,7 +53,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 /// (lower than the on-demand duration price).
 pub const AWS_PROVISIONED_PRICE_PER_GB_S: f64 = 0.000_004_166_7;
 
-/// Options for [`simulate_pool_ext`].
+/// Options for [`simulate_pool`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolOptions {
     /// Idle instance lifetime in seconds.
@@ -82,9 +80,9 @@ impl Default for PoolOptions {
     }
 }
 
-/// Results of an extended pool simulation.
+/// Results of a pool simulation.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct ExtPoolStats {
+pub struct PoolStats {
     /// Cold starts (full initialization on the critical path).
     pub cold_starts: u64,
     /// Warm starts (reused keep-alive or provisioned instances).
@@ -101,10 +99,20 @@ pub struct ExtPoolStats {
     pub total_e2e_secs: f64,
 }
 
-impl ExtPoolStats {
+impl PoolStats {
     /// Total invocations.
     pub fn invocations(&self) -> u64 {
         self.cold_starts + self.warm_starts
+    }
+
+    /// Fraction of invocations that were cold.
+    pub fn cold_fraction(&self) -> f64 {
+        let n = self.invocations();
+        if n == 0 {
+            0.0
+        } else {
+            self.cold_starts as f64 / n as f64
+        }
     }
 
     /// Total dollars: invocations + reserved capacity.
@@ -123,10 +131,10 @@ impl ExtPoolStats {
     }
 }
 
-/// One dispatched request, reported by [`simulate_pool_ext_traced`]'s event
-/// sink. Lets callers reconstruct the full execution timeline — e.g. per-
-/// invocation E2E latency percentiles, or an instantaneous-concurrency sweep
-/// in a property test.
+/// One dispatched request, reported by [`simulate_pool`]'s event sink. Lets
+/// callers reconstruct the full execution timeline — e.g. per-invocation
+/// E2E latency percentiles, or an instantaneous-concurrency sweep in a
+/// property test.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolEvent {
     /// When the request arrived (seconds from window start).
@@ -139,7 +147,7 @@ pub struct PoolEvent {
     pub kind: StartKind,
 }
 
-/// Typed errors from the extended pool simulator's input validation.
+/// Typed errors from the pool simulator's input validation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PoolError {
     /// The arrival sequence is not sorted ascending: out-of-order arrivals
@@ -181,71 +189,6 @@ impl std::fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-/// Simulate an arrival process through the extended pool. `arrivals` must
-/// be sorted ascending (seconds from window start); this is enforced.
-///
-/// # Panics
-///
-/// Panics if `arrivals` is unsorted or contains NaN — use
-/// [`try_simulate_pool_ext`] to handle malformed input gracefully.
-pub fn simulate_pool_ext(
-    platform: &Platform,
-    app: &AppProfile,
-    arrivals: &[f64],
-    options: &PoolOptions,
-) -> ExtPoolStats {
-    simulate_pool_ext_traced(platform, app, arrivals, options, |_| {})
-}
-
-/// [`simulate_pool_ext`] with an event sink: `on_event` is called once per
-/// arrival, in arrival order, with the dispatched request's timeline.
-///
-/// # Panics
-///
-/// Panics if `arrivals` is unsorted or contains NaN — use
-/// [`try_simulate_pool_ext_traced`] to handle malformed input gracefully.
-pub fn simulate_pool_ext_traced(
-    platform: &Platform,
-    app: &AppProfile,
-    arrivals: &[f64],
-    options: &PoolOptions,
-    on_event: impl FnMut(PoolEvent),
-) -> ExtPoolStats {
-    try_simulate_pool_ext_traced(platform, app, arrivals, options, on_event)
-        .unwrap_or_else(|e| panic!("simulate_pool_ext: {e}"))
-}
-
-/// [`simulate_pool_ext`] returning a typed error instead of panicking on
-/// malformed arrival sequences.
-///
-/// # Errors
-///
-/// [`PoolError::UnsortedArrivals`] or [`PoolError::NanArrival`].
-pub fn try_simulate_pool_ext(
-    platform: &Platform,
-    app: &AppProfile,
-    arrivals: &[f64],
-    options: &PoolOptions,
-) -> Result<ExtPoolStats, PoolError> {
-    try_simulate_pool_ext_traced(platform, app, arrivals, options, |_| {})
-}
-
-/// [`simulate_pool_ext_traced`] returning a typed error instead of
-/// panicking on malformed arrival sequences.
-///
-/// # Errors
-///
-/// [`PoolError::UnsortedArrivals`] or [`PoolError::NanArrival`].
-pub fn try_simulate_pool_ext_traced(
-    platform: &Platform,
-    app: &AppProfile,
-    arrivals: &[f64],
-    options: &PoolOptions,
-    on_event: impl FnMut(PoolEvent),
-) -> Result<ExtPoolStats, PoolError> {
-    simulate_pool_ext_stream_traced(platform, app, arrivals.iter().copied(), options, on_event)
-}
-
 /// Total-order key for pool timestamps (`f64::total_cmp`); the simulator
 /// rejects NaN at the boundary, and all derived times are NaN-free, so the
 /// total order coincides with the numeric order.
@@ -283,8 +226,11 @@ fn idle_take_max(set: &mut IdleSet) -> Option<f64> {
     Some(key.0)
 }
 
-/// Event-driven core: streams arrivals through the pool without ever
-/// materializing them, validating ordering on the fly.
+/// Simulate an arrival stream through one function's pool: `on_event` is
+/// called once per arrival, in arrival order, with the dispatched request's
+/// timeline (callers that need no events pass `|_| {}`). Arrivals are
+/// consumed as they come and never materialized, and their ordering is
+/// validated on the fly.
 ///
 /// Busy instances live in a min-heap keyed on `free_at` (tagged
 /// provisioned/on-demand); idle instances live in two ordered multisets of
@@ -293,19 +239,21 @@ fn idle_take_max(set: &mut IdleSet) -> Option<f64> {
 /// too). Each arrival settles freed instances out of the heap, reaps
 /// expired idle instances from the cheap end of the multiset, and — under
 /// a concurrency cap — pops exactly `busy - cap + 1` heap entries to find
-/// the queued request's dispatch time, the same `(busy - cap + 1)`-th
-/// earliest `free_at` the naive engine finds by sorting.
+/// the queued request's dispatch time: the `(busy - cap + 1)`-th earliest
+/// `free_at`, when occupancy first drops below the cap. A cap of 0 is
+/// treated as 1.
 ///
 /// # Errors
 ///
-/// [`PoolError::UnsortedArrivals`] or [`PoolError::NanArrival`].
-pub fn simulate_pool_ext_stream_traced(
+/// [`PoolError::UnsortedArrivals`] or [`PoolError::NanArrival`]: arrivals
+/// must be sorted ascending (seconds from window start) and NaN-free.
+pub fn simulate_pool(
     platform: &Platform,
     app: &AppProfile,
     arrivals: impl IntoIterator<Item = f64>,
     options: &PoolOptions,
     mut on_event: impl FnMut(PoolEvent),
-) -> Result<ExtPoolStats, PoolError> {
+) -> Result<PoolStats, PoolError> {
     let keep_alive = options.keep_alive_secs;
     // Busy = dispatched and not yet freed: min-heap on (free_at, provisioned).
     let mut busy: BinaryHeap<Reverse<(Time, bool)>> = BinaryHeap::new();
@@ -333,7 +281,7 @@ pub fn simulate_pool_ext_stream_traced(
     // already satisfies `free_at <= now`, and the reap predicate is
     // monotone in `free_at`, so popping from the low end suffices. The
     // negated comparison is deliberate: it is the exact complement of the
-    // naive engine's `expires_at < now` reap test, NaN semantics included.
+    // reap test `expires_at < now`, NaN semantics included.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     let reap = |idle_demand: &mut IdleSet, now: f64| {
         while let Some((&key, count)) = idle_demand.iter_mut().next() {
@@ -347,7 +295,7 @@ pub fn simulate_pool_ext_stream_traced(
         }
     };
 
-    let mut stats = ExtPoolStats::default();
+    let mut stats = PoolStats::default();
     let mut prev = f64::NEG_INFINITY;
     for (index, arrival) in arrivals.into_iter().enumerate() {
         if arrival.is_nan() {
@@ -480,152 +428,72 @@ pub fn simulate_pool_ext_stream_traced(
     Ok(stats)
 }
 
-/// The retained naive engine: the original `Vec<Instance>` implementation
-/// with per-arrival `retain`/`filter`/`sort_by` scans — `O(instances)` per
-/// request, quadratic under bursts. Kept as the differential-testing
-/// oracle for the event-driven engine (and for engine-speedup benchmarks);
-/// production paths all use [`simulate_pool_ext_traced`].
-///
-/// # Panics
-///
-/// Panics if `arrivals` is unsorted or contains NaN, matching the default
-/// engine's contract.
-pub fn simulate_pool_ext_naive_traced(
-    platform: &Platform,
-    app: &AppProfile,
-    arrivals: &[f64],
-    options: &PoolOptions,
-    mut on_event: impl FnMut(PoolEvent),
-) -> ExtPoolStats {
-    validate_arrivals(arrivals).unwrap_or_else(|e| panic!("simulate_pool_ext_naive: {e}"));
-    #[derive(Clone, Copy)]
-    struct Instance {
-        free_at: f64,
-        expires_at: f64,
-        provisioned: bool,
-    }
-    fn reap(instances: &mut Vec<Instance>, now: f64) {
-        instances.retain(|i| i.provisioned || !(i.free_at <= now && i.expires_at < now));
-    }
-    let mut instances: Vec<Instance> = (0..options.provisioned)
-        .map(|_| Instance {
-            free_at: 0.0,
-            expires_at: f64::INFINITY,
-            provisioned: true,
-        })
-        .collect();
-    let mut stats = ExtPoolStats::default();
-    for &arrival in arrivals {
-        // Reap on-demand instances that expired before this arrival.
-        let mut now = arrival;
-        reap(&mut instances, now);
-
-        if let Some(cap) = options.max_concurrency {
-            let cap = cap.max(1);
-            let mut busy: Vec<f64> = instances
-                .iter()
-                .filter(|i| i.free_at > now)
-                .map(|i| i.free_at)
-                .collect();
-            if busy.len() >= cap {
-                busy.sort_by(f64::total_cmp);
-                now = busy[busy.len() - cap];
-                stats.queued_requests += 1;
-                stats.total_queue_secs += now - arrival;
-                reap(&mut instances, now);
-            }
-        }
-
-        // Prefer provisioned instances, then the most-recently-used warm one.
-        let idle = instances
-            .iter_mut()
-            .filter(|i| i.free_at <= now && i.expires_at >= now)
-            .max_by(|a, b| {
-                (a.provisioned, a.free_at)
-                    .partial_cmp(&(b.provisioned, b.free_at))
-                    .expect("no NaN in pool times")
-            });
-        let (inv, start_kind) = match idle {
-            Some(slot) => {
-                let inv = platform.warm_invocation(app);
-                let finish = now + inv.e2e_secs();
-                slot.free_at = finish;
-                if !slot.provisioned {
-                    slot.expires_at = finish + options.keep_alive_secs;
-                }
-                (inv, StartKind::Warm)
-            }
-            None => {
-                let inv = platform.cold_invocation(app, options.mode);
-                let finish = now + inv.e2e_secs();
-                instances.push(Instance {
-                    free_at: finish,
-                    expires_at: finish + options.keep_alive_secs,
-                    provisioned: false,
-                });
-                (inv, StartKind::Cold)
-            }
-        };
-        match start_kind {
-            StartKind::Cold => stats.cold_starts += 1,
-            StartKind::Warm => stats.warm_starts += 1,
-        }
-        stats.invocation_cost += inv.cost;
-        stats.total_e2e_secs += inv.e2e_secs() + (now - arrival);
-        on_event(PoolEvent {
-            arrival,
-            start: now,
-            finish: now + inv.e2e_secs(),
-            kind: start_kind,
-        });
-    }
-    // Reserved capacity is billed for the whole window regardless of use.
-    let mem_gb = platform.config.pricing.configured_memory_mb(app.mem_mb) as f64 / 1024.0;
-    stats.provisioned_cost =
-        options.provisioned as f64 * mem_gb * options.window_secs * AWS_PROVISIONED_PRICE_PER_GB_S;
-    stats
-}
-
-/// Check that an arrival slice satisfies the pool contract: sorted
-/// ascending, no NaN.
-///
-/// # Errors
-///
-/// [`PoolError::UnsortedArrivals`] or [`PoolError::NanArrival`].
-pub fn validate_arrivals(arrivals: &[f64]) -> Result<(), PoolError> {
-    let mut prev = f64::NEG_INFINITY;
-    for (index, &t) in arrivals.iter().enumerate() {
-        if t.is_nan() {
-            return Err(PoolError::NanArrival { index });
-        }
-        if t < prev {
-            return Err(PoolError::UnsortedArrivals {
-                index,
-                previous: prev,
-                found: t,
-            });
-        }
-        prev = t;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trim_rng::Rng;
 
     fn app() -> AppProfile {
         AppProfile::new("demo", 100.0, 1.0, 0.2, 512.0)
     }
 
+    fn run(app: &AppProfile, arrivals: &[f64], options: &PoolOptions) -> PoolStats {
+        simulate_pool(
+            &Platform::default(),
+            app,
+            arrivals.iter().copied(),
+            options,
+            |_| {},
+        )
+        .expect("sorted arrivals")
+    }
+
+    fn keep_alive(keep_alive_secs: f64) -> PoolOptions {
+        PoolOptions {
+            keep_alive_secs,
+            ..PoolOptions::default()
+        }
+    }
+
+    #[test]
+    fn pool_reuses_warm_instances() {
+        let app = AppProfile::new("a", 50.0, 0.5, 0.1, 200.0);
+        // Arrivals far enough apart to finish, close enough to stay warm.
+        let stats = run(&app, &[0.0, 10.0, 20.0, 30.0], &keep_alive(900.0));
+        assert_eq!(stats.cold_starts, 1);
+        assert_eq!(stats.warm_starts, 3);
+    }
+
+    #[test]
+    fn pool_expires_idle_instances() {
+        let app = AppProfile::new("a", 50.0, 0.5, 0.1, 200.0);
+        let stats = run(&app, &[0.0, 10_000.0], &keep_alive(60.0));
+        assert_eq!(stats.cold_starts, 2, "keep-alive elapsed between arrivals");
+    }
+
+    #[test]
+    fn pool_bursts_force_concurrent_cold_starts() {
+        let app = AppProfile::new("a", 50.0, 0.5, 2.0, 200.0);
+        // Three simultaneous arrivals — no instance is free.
+        let stats = run(&app, &[0.0, 0.0, 0.0], &keep_alive(900.0));
+        assert_eq!(stats.cold_starts, 3);
+    }
+
+    #[test]
+    fn pool_stats_cold_fraction() {
+        let s = PoolStats {
+            cold_starts: 1,
+            warm_starts: 3,
+            ..PoolStats::default()
+        };
+        assert!((s.cold_fraction() - 0.25).abs() < 1e-12);
+        assert_eq!(PoolStats::default().cold_fraction(), 0.0);
+    }
+
     #[test]
     fn provisioned_instances_eliminate_cold_starts() {
-        let platform = Platform::default();
         let arrivals: Vec<f64> = (0..10).map(|i| i as f64 * 100.0).collect();
-        let none = simulate_pool_ext(&platform, &app(), &arrivals, &PoolOptions::default());
-        let provisioned = simulate_pool_ext(
-            &platform,
+        let none = run(&app(), &arrivals, &PoolOptions::default());
+        let provisioned = run(
             &app(),
             &arrivals,
             &PoolOptions {
@@ -644,9 +512,7 @@ mod tests {
 
     #[test]
     fn provisioned_capacity_costs_even_when_idle() {
-        let platform = Platform::default();
-        let stats = simulate_pool_ext(
-            &platform,
+        let stats = run(
             &app(),
             &[],
             &PoolOptions {
@@ -663,11 +529,9 @@ mod tests {
 
     #[test]
     fn concurrency_limit_queues_bursts() {
-        let platform = Platform::default();
         // Ten simultaneous arrivals, capacity two.
-        let arrivals = vec![0.0; 10];
-        let limited = simulate_pool_ext(
-            &platform,
+        let arrivals = [0.0; 10];
+        let limited = run(
             &app(),
             &arrivals,
             &PoolOptions {
@@ -682,7 +546,7 @@ mod tests {
         assert_eq!(limited.warm_starts, 8);
         assert_eq!(limited.queued_requests, 8);
         assert!(limited.total_queue_secs > 0.0);
-        let unlimited = simulate_pool_ext(&platform, &app(), &arrivals, &PoolOptions::default());
+        let unlimited = run(&app(), &arrivals, &PoolOptions::default());
         assert_eq!(unlimited.queued_requests, 0);
         assert!(limited.mean_e2e_secs() > unlimited.mean_e2e_secs());
     }
@@ -709,19 +573,20 @@ mod tests {
         // Regression: waiting only for the *earliest* free_at let a burst of
         // b > cap simultaneous arrivals all dispatch at the same instant.
         let platform = Platform::default();
-        let arrivals = vec![0.0; 10];
+        let arrivals = [0.0; 10];
         for cap in [1, 2, 3] {
             let mut events = Vec::new();
-            simulate_pool_ext_traced(
+            simulate_pool(
                 &platform,
                 &app(),
-                &arrivals,
+                arrivals.iter().copied(),
                 &PoolOptions {
                     max_concurrency: Some(cap),
                     ..PoolOptions::default()
                 },
                 |e| events.push(e),
-            );
+            )
+            .expect("sorted arrivals");
             assert_eq!(events.len(), 10);
             assert!(
                 peak_concurrency(&events) <= cap,
@@ -733,9 +598,7 @@ mod tests {
 
     #[test]
     fn zero_cap_is_treated_as_one() {
-        let platform = Platform::default();
-        let stats = simulate_pool_ext(
-            &platform,
+        let stats = run(
             &app(),
             &[0.0, 0.0, 0.0],
             &PoolOptions {
@@ -754,20 +617,17 @@ mod tests {
         // holder frees, and reuses it warm — even at keep_alive 0, where
         // the holder expires the same instant it frees (expiry is
         // exclusive: `expires_at < now` reaps, equality does not).
-        let platform = Platform::default();
         let slow = AppProfile::new("slow", 10.0, 0.1, 100.0, 128.0);
+        let options = PoolOptions {
+            keep_alive_secs: 0.0,
+            max_concurrency: Some(1),
+            ..PoolOptions::default()
+        };
         let mut events = Vec::new();
-        let stats = simulate_pool_ext_traced(
-            &platform,
-            &slow,
-            &[0.0, 1.0],
-            &PoolOptions {
-                keep_alive_secs: 0.0,
-                max_concurrency: Some(1),
-                ..PoolOptions::default()
-            },
-            |e| events.push(e),
-        );
+        let stats = simulate_pool(&Platform::default(), &slow, [0.0, 1.0], &options, |e| {
+            events.push(e)
+        })
+        .expect("sorted arrivals");
         assert_eq!(stats.cold_starts, 1);
         assert_eq!(stats.warm_starts, 1);
         assert_eq!(stats.queued_requests, 1);
@@ -778,56 +638,17 @@ mod tests {
         );
         // A third arrival after the pool drains and keep-alive (0 s)
         // elapses must cold-start: the expired instance is not revived.
-        let late = simulate_pool_ext(
-            &platform,
-            &slow,
-            &[0.0, 1.0, 500.0],
-            &PoolOptions {
-                keep_alive_secs: 0.0,
-                max_concurrency: Some(1),
-                ..PoolOptions::default()
-            },
-        );
+        let late = run(&slow, &[0.0, 1.0, 500.0], &options);
         assert_eq!(late.cold_starts, 2);
         assert_eq!(late.warm_starts, 1);
     }
 
     #[test]
-    fn expiry_boundary_is_exclusive_on_both_engines() {
-        // The pinned boundary: an idle instance whose keep-alive runs out at
-        // *exactly* the arrival instant (`expires_at == now`) is still warm;
-        // one that expired any earlier (`expires_at < now`) is reaped. With
-        // keep_alive 0, an instance freeing at time `f` expires at `f` too,
-        // so an arrival at exactly `f` reuses it and an arrival at
-        // `f + ε` cold-starts.
-        let platform = Platform::default();
-        let a = app();
-        let cold_e2e = platform.cold_invocation(&a, StartMode::Standard).e2e_secs();
-        let options = PoolOptions {
-            keep_alive_secs: 0.0,
-            ..PoolOptions::default()
-        };
-        for (arrivals, expect_warm) in [
-            (vec![0.0, cold_e2e], 1u64),        // expires_at == now: kept
-            (vec![0.0, cold_e2e + 1e-9], 0u64), // expires_at < now: reaped
-        ] {
-            let event = simulate_pool_ext(&platform, &a, &arrivals, &options);
-            let naive = simulate_pool_ext_naive_traced(&platform, &a, &arrivals, &options, |_| {});
-            assert_eq!(event.warm_starts, expect_warm, "{arrivals:?}");
-            assert_eq!(event, naive, "engines must agree on the boundary");
-        }
-    }
-
-    #[test]
     fn unsorted_arrivals_are_a_typed_error() {
         let platform = Platform::default();
-        let err = try_simulate_pool_ext(
-            &platform,
-            &app(),
-            &[0.0, 10.0, 5.0],
-            &PoolOptions::default(),
-        )
-        .expect_err("unsorted arrivals must be rejected");
+        let options = PoolOptions::default();
+        let err = simulate_pool(&platform, &app(), [0.0, 10.0, 5.0], &options, |_| {})
+            .expect_err("unsorted arrivals must be rejected");
         assert_eq!(
             err,
             PoolError::UnsortedArrivals {
@@ -837,124 +658,9 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("sorted ascending"));
-        let nan =
-            try_simulate_pool_ext(&platform, &app(), &[0.0, f64::NAN], &PoolOptions::default())
-                .expect_err("NaN arrivals must be rejected");
+        let nan = simulate_pool(&platform, &app(), [0.0, f64::NAN], &options, |_| {})
+            .expect_err("NaN arrivals must be rejected");
         assert_eq!(nan, PoolError::NanArrival { index: 1 });
-        assert_eq!(validate_arrivals(&[0.0, 0.0, 3.5]), Ok(()));
-        assert!(validate_arrivals(&[1.0, 0.5]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted ascending")]
-    fn unsorted_arrivals_panic_on_the_infallible_api() {
-        simulate_pool_ext(
-            &Platform::default(),
-            &app(),
-            &[3.0, 1.0],
-            &PoolOptions::default(),
-        );
-    }
-
-    #[test]
-    fn stream_engine_matches_slice_engine() {
-        let platform = Platform::default();
-        let arrivals: Vec<f64> = (0..50).map(|i| (i / 3) as f64 * 40.0).collect();
-        let options = PoolOptions {
-            max_concurrency: Some(2),
-            provisioned: 1,
-            ..PoolOptions::default()
-        };
-        let mut slice_events = Vec::new();
-        let sliced = simulate_pool_ext_traced(&platform, &app(), &arrivals, &options, |e| {
-            slice_events.push(e)
-        });
-        let mut stream_events = Vec::new();
-        let streamed = simulate_pool_ext_stream_traced(
-            &platform,
-            &app(),
-            arrivals.iter().copied(),
-            &options,
-            |e| stream_events.push(e),
-        )
-        .expect("sorted arrivals");
-        assert_eq!(sliced, streamed);
-        assert_eq!(slice_events, stream_events);
-    }
-
-    /// Random sorted arrivals with bursts, plus random pool options —
-    /// the in-module differential arm (tier-1 even without the
-    /// `property-tests` feature; the wider sweep lives in
-    /// `tests/property_tests.rs`).
-    #[test]
-    fn event_engine_matches_naive_engine_on_random_workloads() {
-        let platform = Platform::default();
-        let mut rng = Rng::seed_from_u64(0xE7E27);
-        for case in 0..40 {
-            let n = rng.usize_inclusive(0, 90);
-            let mut arrivals = Vec::with_capacity(n);
-            let mut t = 0.0;
-            while arrivals.len() < n {
-                t += rng.f64() * 30.0;
-                let burst = if rng.usize_inclusive(0, 2) == 0 {
-                    rng.usize_inclusive(2, 10)
-                } else {
-                    1
-                };
-                for _ in 0..burst.min(n - arrivals.len()) {
-                    arrivals.push(t);
-                }
-            }
-            let a = AppProfile::new(
-                "diff",
-                rng.f64() * 400.0,
-                rng.f64() * 2.0,
-                0.01 + rng.f64() * 20.0,
-                64.0 + rng.f64() * 512.0,
-            );
-            let options = PoolOptions {
-                keep_alive_secs: if rng.bool() { 0.0 } else { rng.f64() * 600.0 },
-                mode: if rng.bool() {
-                    StartMode::Standard
-                } else {
-                    StartMode::Restore
-                },
-                provisioned: rng.usize_inclusive(0, 3),
-                max_concurrency: if rng.bool() {
-                    Some(rng.usize_inclusive(0, 5))
-                } else {
-                    None
-                },
-                ..PoolOptions::default()
-            };
-            let mut naive_events = Vec::new();
-            let naive = simulate_pool_ext_naive_traced(&platform, &a, &arrivals, &options, |e| {
-                naive_events.push(e)
-            });
-            let mut event_events = Vec::new();
-            let event = simulate_pool_ext_traced(&platform, &a, &arrivals, &options, |e| {
-                event_events.push(e)
-            });
-            assert_eq!(naive, event, "case {case}: stats diverged");
-            assert_eq!(naive_events, event_events, "case {case}: events diverged");
-        }
-    }
-
-    #[test]
-    fn matches_basic_pool_when_features_disabled() {
-        let platform = Platform::default();
-        let arrivals: Vec<f64> = (0..20).map(|i| i as f64 * 37.0).collect();
-        let basic = crate::platform::simulate_pool(
-            &platform,
-            &app(),
-            &arrivals,
-            900.0,
-            StartMode::Standard,
-        );
-        let ext = simulate_pool_ext(&platform, &app(), &arrivals, &PoolOptions::default());
-        assert_eq!(basic.cold_starts, ext.cold_starts);
-        assert_eq!(basic.warm_starts, ext.warm_starts);
-        assert!((basic.total_cost - ext.invocation_cost).abs() < 1e-12);
     }
 
     #[test]
@@ -962,28 +668,10 @@ mod tests {
         // Debloating reduces the per-cold-start bill; provisioning reduces
         // cold-start *count* — both improve E2E but provisioning costs
         // standing money.
-        let platform = Platform::default();
         let arrivals: Vec<f64> = (0..50).map(|i| i as f64 * 2400.0).collect();
-        let original = app();
         let trimmed = AppProfile::new("demo-trim", 100.0, 0.3, 0.2, 380.0);
-        let base = simulate_pool_ext(
-            &platform,
-            &original,
-            &arrivals,
-            &PoolOptions {
-                keep_alive_secs: 900.0,
-                ..PoolOptions::default()
-            },
-        );
-        let trim_only = simulate_pool_ext(
-            &platform,
-            &trimmed,
-            &arrivals,
-            &PoolOptions {
-                keep_alive_secs: 900.0,
-                ..PoolOptions::default()
-            },
-        );
+        let base = run(&app(), &arrivals, &keep_alive(900.0));
+        let trim_only = run(&trimmed, &arrivals, &keep_alive(900.0));
         assert!(trim_only.total_cost() < base.total_cost());
         assert!(trim_only.total_e2e_secs < base.total_e2e_secs);
     }

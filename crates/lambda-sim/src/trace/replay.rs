@@ -1,28 +1,52 @@
-//! Event-driven trace replay: every function of a [`TraceSet`] through the
-//! extended pool, across start modes and keep-alive settings, in one pass.
+//! Trace replay: every function of a trace through the keep-alive pool,
+//! across start modes and keep-alive settings, in one pass.
 //!
 //! This is the paper's §8.6 methodology generalized: instead of replaying a
-//! single app against one matched trace function, the engine replays the
-//! *whole* trace — each function becomes an [`crate::AppProfile`] (its
-//! dataset memory/duration columns plus configurable image/init constants)
-//! and is driven through [`crate::pool::simulate_pool_ext_traced`] once per
-//! (StartMode × keep-alive) variant.
+//! single app against one matched trace function, the core replays the
+//! *whole* trace — each function becomes an [`AppProfile`] (its dataset
+//! memory/duration columns plus configurable image/init constants) and is
+//! driven through [`simulate_pool`] once per (StartMode × keep-alive)
+//! variant.
+//!
+//! One core serves two entry points, which differ in two type parameters:
+//!
+//! * the **arrival source** — [`replay_trace`] reads each function's
+//!   arrival slice from a materialized [`TraceSet`]; [`replay_fleet`]
+//!   synthesizes function `i` of a [`TraceConfig`] on the worker that
+//!   replays it ([`synthesize_function`] is row-order independent) and
+//!   streams its arrivals straight into the pool, so no arrival vector
+//!   ever exists and memory is bounded by fleet size, not invocation
+//!   count;
+//! * the **latency summary** — [`replay_trace`] keeps every E2E sample
+//!   for exact percentiles; [`replay_fleet`] fills a 600-bin log-scale
+//!   histogram (60 bins per decade over 10⁻⁴–10⁶ s), whose percentile
+//!   estimates are within one bin (≈ 4% relative) of the exact value.
+//!
+//! Both are generic, so the per-event path pays no dynamic dispatch.
+//! Counts, costs and cold-ratio deciles do not depend on either parameter:
+//! on a synthetic config the two entry points report them bit-identically.
 //!
 //! Functions are independent, so the replay fans out over a worker pool
 //! (`jobs` threads) with the same slotted-results idiom as the corpus
 //! trimmer: workers pull function indices from an atomic counter and write
-//! into a per-function slot, then aggregation walks the slots in function
-//! order. Results are therefore **byte-identical whatever the worker
-//! count** — the acceptance bar for `BENCH_replay.json`.
+//! each function's pool stats into its slot, and aggregation walks the
+//! slots in function order, so every f64 sum sees one fixed order. Latency
+//! summaries are worker-local and merged at the end; both merges commute
+//! (sample multisets, u64 bin counts). Results are therefore
+//! **byte-identical whatever the worker count** — the acceptance bar for
+//! `BENCH_replay.json`.
 
-use super::{ArrivalClass, TraceSet};
-use crate::metrics::{cdf, percentile};
+use super::synthetic::{synthesize_function, SyntheticFunction, TraceConfig};
+use super::{FunctionTrace, TraceError, TraceSet};
+use crate::metrics::percentile;
 use crate::platform::{AppProfile, Platform, StartMode};
-use crate::pool::{simulate_pool_ext_traced, ExtPoolStats, PoolOptions};
+use crate::pool::{simulate_pool, PoolOptions, PoolStats};
 use crate::pricing::SnapStartPricing;
 use crate::providers::providers;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Options for [`replay_trace`].
+/// Options for [`replay_trace`] and [`replay_fleet`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOptions {
     /// Start modes to replay (one full pass per mode × keep-alive).
@@ -58,32 +82,6 @@ impl Default for ReplayOptions {
     }
 }
 
-/// One function's replay results: per-variant pool stats plus the raw
-/// per-invocation E2E samples (for percentile aggregation).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FunctionReplay {
-    /// Trace function id.
-    pub id: u32,
-    /// Trace function name.
-    pub name: String,
-    /// Arrival class.
-    pub class: ArrivalClass,
-    /// Invocations in the window.
-    pub invocations: usize,
-    /// Per-variant results, parallel to [`ReplayReport::variants`].
-    pub variants: Vec<FunctionVariant>,
-}
-
-/// One function under one (mode, keep-alive) variant.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FunctionVariant {
-    /// Pool statistics.
-    pub stats: ExtPoolStats,
-    /// Per-invocation E2E latencies (including queueing), seconds, in
-    /// arrival order.
-    pub e2e_secs: Vec<f64>,
-}
-
 /// Aggregate results for one (mode, keep-alive) variant across the whole
 /// trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,15 +107,16 @@ pub struct VariantReport {
     pub snapstart_cost: f64,
     /// SnapStart cost share of the total bill, in `[0, 1]`.
     pub snapstart_share: f64,
-    /// p50 of per-invocation E2E latency, seconds.
+    /// p50 of per-invocation E2E latency, seconds (0 with no invocations).
     pub e2e_p50_secs: f64,
-    /// p95 of per-invocation E2E latency, seconds.
+    /// p95 of per-invocation E2E latency, seconds (0 with no invocations).
     pub e2e_p95_secs: f64,
-    /// p99 of per-invocation E2E latency, seconds.
+    /// p99 of per-invocation E2E latency, seconds (0 with no invocations).
     pub e2e_p99_secs: f64,
-    /// Empirical CDF of per-function cold-start ratios (functions with at
-    /// least one invocation): sorted `(ratio, cumulative_fraction)`.
-    pub cold_ratio_cdf: Vec<(f64, f64)>,
+    /// Deciles (10th..100th percentile) of the per-function cold-start
+    /// ratio distribution (functions with ≥ 1 invocation; all 0 when there
+    /// are none). Exact on both entry points.
+    pub cold_ratio_deciles: [f64; 10],
     /// Total window bill under each provider's billing rules (invocation
     /// costs recomputed analytically from the cold/warm split; provisioned
     /// and SnapStart charges use AWS rates).
@@ -140,117 +139,222 @@ impl VariantReport {
     }
 }
 
-/// The full replay result: per-function detail plus per-variant aggregates.
+/// The result of a replay: per-variant aggregates over every function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayReport {
     /// Window length replayed, seconds.
     pub window_secs: f64,
-    /// Per-function results, in trace order.
-    pub functions: Vec<FunctionReplay>,
+    /// Functions replayed.
+    pub functions: usize,
+    /// Invocations per variant (every variant replays the same arrivals;
+    /// 0 when there is no variant).
+    pub invocations: u64,
     /// Per-variant aggregates, ordered `modes × keep_alive_secs`.
     pub variants: Vec<VariantReport>,
 }
 
-fn app_for(function: &super::FunctionTrace, options: &ReplayOptions) -> AppProfile {
-    AppProfile::new(
-        function.name.clone(),
-        options.image_mb,
-        options.init_secs,
-        function.duration_ms / 1000.0,
-        function.mem_mb,
-    )
+/// The report of [`replay_fleet`]: the same shape as every replay's.
+pub type FleetReport = ReplayReport;
+
+/// One function the core replays: the dataset columns its pool profile is
+/// built from, and its arrivals, sorted ascending and restartable (one
+/// stream per variant).
+trait ReplayFunction {
+    /// `(name, mem_mb, duration_ms)`.
+    fn profile(&self) -> (&str, f64, f64);
+    /// The function's arrival stream, from the start.
+    fn arrivals(&self) -> impl Iterator<Item = f64>;
 }
 
-fn replay_function(
-    platform: &Platform,
-    trace: &TraceSet,
-    function: &super::FunctionTrace,
-    options: &ReplayOptions,
-) -> FunctionReplay {
-    let app = app_for(function, options);
-    let mut variants = Vec::with_capacity(options.modes.len() * options.keep_alive_secs.len());
-    for &mode in &options.modes {
-        for &keep_alive_secs in &options.keep_alive_secs {
-            let pool = PoolOptions {
-                keep_alive_secs,
-                mode,
-                provisioned: options.provisioned,
-                max_concurrency: options.max_concurrency,
-                window_secs: trace.window_secs,
-            };
-            let mut e2e_secs = Vec::with_capacity(function.arrivals.len());
-            let stats = simulate_pool_ext_traced(platform, &app, &function.arrivals, &pool, |e| {
-                e2e_secs.push(e.finish - e.arrival)
-            });
-            variants.push(FunctionVariant { stats, e2e_secs });
+impl ReplayFunction for &FunctionTrace {
+    fn profile(&self) -> (&str, f64, f64) {
+        (&self.name, self.mem_mb, self.duration_ms)
+    }
+
+    fn arrivals(&self) -> impl Iterator<Item = f64> {
+        self.arrivals.iter().copied()
+    }
+}
+
+impl ReplayFunction for SyntheticFunction {
+    fn profile(&self) -> (&str, f64, f64) {
+        (&self.name, self.mem_mb, self.duration_ms)
+    }
+
+    fn arrivals(&self) -> impl Iterator<Item = f64> {
+        SyntheticFunction::arrivals(self)
+    }
+}
+
+/// Per-variant E2E latency summary: filled by one worker, merged across
+/// workers (in any order), then asked for percentiles.
+trait LatencySummary: Default + Send {
+    fn record(&mut self, e2e_secs: f64);
+    fn merge(&mut self, other: Self);
+    /// The `p`-th percentile, or 0 when nothing was recorded.
+    fn percentile(&self, p: f64) -> f64;
+}
+
+/// Every sample: exact, interpolated order statistics.
+#[derive(Default)]
+struct Samples(Vec<f64>);
+
+impl LatencySummary for Samples {
+    fn record(&mut self, e2e_secs: f64) {
+        self.0.push(e2e_secs);
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.0.extend(other.0);
+    }
+
+    fn percentile(&self, p: f64) -> f64 {
+        percentile(&self.0, p)
+    }
+}
+
+/// Number of E2E histogram bins: 60 per decade across 10 decades.
+const HIST_BINS: usize = 600;
+/// Lower edge of the histogram, log10 seconds.
+const HIST_LOG_MIN: f64 = -4.0;
+/// Upper edge of the histogram, log10 seconds.
+const HIST_LOG_MAX: f64 = 6.0;
+
+/// Log-scale histogram of samples: fixed size however many are recorded.
+struct LogHistogram(Vec<u64>);
+
+impl Default for LogHistogram {
+    fn default() -> Self {
+        LogHistogram(vec![0; HIST_BINS])
+    }
+}
+
+impl LatencySummary for LogHistogram {
+    fn record(&mut self, e2e_secs: f64) {
+        let log = e2e_secs.max(1e-300).log10();
+        let pos = (log - HIST_LOG_MIN) / (HIST_LOG_MAX - HIST_LOG_MIN) * HIST_BINS as f64;
+        self.0[(pos as isize).clamp(0, HIST_BINS as isize - 1) as usize] += 1;
+    }
+
+    fn merge(&mut self, other: Self) {
+        for (bin, count) in self.0.iter_mut().zip(other.0) {
+            *bin += count;
         }
     }
-    FunctionReplay {
-        id: function.id,
-        name: function.name.clone(),
-        class: function.class,
-        invocations: function.invocations(),
-        variants,
+
+    /// The geometric midpoint of the first bin whose cumulative count
+    /// reaches the rank.
+    fn percentile(&self, p: f64) -> f64 {
+        let total: u64 = self.0.iter().sum();
+        if total == 0 {
+            return 0.0;
+        }
+        let rank = (p / 100.0 * total as f64).ceil().max(1.0) as u64;
+        let mut cum = 0u64;
+        for (bin, &count) in self.0.iter().enumerate() {
+            cum += count;
+            if cum >= rank {
+                let width = (HIST_LOG_MAX - HIST_LOG_MIN) / HIST_BINS as f64;
+                let mid = HIST_LOG_MIN + (bin as f64 + 0.5) * width;
+                return 10f64.powf(mid);
+            }
+        }
+        10f64.powf(HIST_LOG_MAX)
     }
 }
 
-/// Replay every function of `trace` through the extended pool under every
-/// (mode × keep-alive) variant of `options`, fanning the per-function work
-/// out over `options.jobs` threads. Deterministic: the report is identical
-/// whatever the worker count.
-pub fn replay_trace(
-    platform: &Platform,
-    trace: &TraceSet,
-    options: &ReplayOptions,
-) -> ReplayReport {
-    let n = trace.functions.len();
-    let threads = options.jobs.max(1).min(n.max(1));
-    let functions: Vec<FunctionReplay> = if threads <= 1 {
-        trace
-            .functions
-            .iter()
-            .map(|f| replay_function(platform, trace, f, options))
-            .collect()
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<FunctionReplay>> = Vec::new();
-        slots.resize_with(n, || None);
-        let slots = std::sync::Mutex::new(slots);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(function) = trace.functions.get(i) else {
-                        break;
-                    };
-                    let result = replay_function(platform, trace, function, options);
-                    slots.lock().expect("replay slots poisoned")[i] = Some(result);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("replay slots poisoned")
-            .into_iter()
-            .map(|r| r.expect("every function produced a result"))
-            .collect()
-    };
+/// One function's replay: the profile that prices it and its pool stats
+/// per variant.
+type FunctionResult = (AppProfile, Vec<PoolStats>);
 
-    // Aggregate in function order (never reduction order), so the numbers
-    // are bit-identical across worker counts.
-    let n_variants = options.modes.len() * options.keep_alive_secs.len();
-    let snap_pricing = SnapStartPricing::default();
-    let provider_models = providers();
-    let mut variants = Vec::with_capacity(n_variants);
-    for (v, (&mode, &keep_alive_secs)) in options
+/// The replay core: replay functions `0..functions` (each built by
+/// `function(i)`) under every variant of `options`, summarizing latency
+/// with `S`.
+fn replay<F: ReplayFunction, S: LatencySummary>(
+    platform: &Platform,
+    functions: usize,
+    window_secs: f64,
+    options: &ReplayOptions,
+    function: impl Fn(usize) -> F + Sync,
+) -> ReplayReport {
+    let pools: Vec<PoolOptions> = options
         .modes
         .iter()
-        .flat_map(|m| options.keep_alive_secs.iter().map(move |k| (m, k)))
-        .enumerate()
-    {
-        let mut report = VariantReport {
-            mode,
-            keep_alive_secs,
+        .flat_map(|&mode| {
+            options
+                .keep_alive_secs
+                .iter()
+                .map(move |&keep_alive_secs| PoolOptions {
+                    keep_alive_secs,
+                    mode,
+                    provisioned: options.provisioned,
+                    max_concurrency: options.max_concurrency,
+                    window_secs,
+                })
+        })
+        .collect();
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<FunctionResult>> = Vec::new();
+    slots.resize_with(functions, || None);
+    let slots = Mutex::new(slots);
+    let worker = || {
+        let mut summaries: Vec<S> = pools.iter().map(|_| S::default()).collect();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= functions {
+                return summaries;
+            }
+            let f = function(i);
+            let (name, mem_mb, duration_ms) = f.profile();
+            let app = AppProfile::new(
+                name,
+                options.image_mb,
+                options.init_secs,
+                duration_ms / 1000.0,
+                mem_mb,
+            );
+            let stats = pools
+                .iter()
+                .zip(&mut summaries)
+                .map(|(pool, summary)| {
+                    simulate_pool(platform, &app, f.arrivals(), pool, |e| {
+                        summary.record(e.finish - e.arrival)
+                    })
+                    .unwrap_or_else(|e| panic!("replaying {}: {e}", app.name))
+                })
+                .collect();
+            slots.lock().expect("replay slots poisoned")[i] = Some((app, stats));
+        }
+    };
+    let threads = options.jobs.max(1).min(functions.max(1));
+    let summaries = if threads <= 1 {
+        worker()
+    } else {
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .reduce(|mut all, local| {
+                    for (a, l) in all.iter_mut().zip(local) {
+                        a.merge(l);
+                    }
+                    all
+                })
+                .expect("at least one worker")
+        })
+    };
+
+    // Aggregate in function order (never worker-finish order), so the f64
+    // sums are bit-identical across worker counts.
+    let snap_pricing = SnapStartPricing::default();
+    let provider_models = providers();
+    let checkpoint = &platform.config.checkpoint;
+    let mut variants: Vec<VariantReport> = pools
+        .iter()
+        .map(|pool| VariantReport {
+            mode: pool.mode,
+            keep_alive_secs: pool.keep_alive_secs,
             invocations: 0,
             cold_starts: 0,
             warm_starts: 0,
@@ -262,36 +366,41 @@ pub fn replay_trace(
             e2e_p50_secs: 0.0,
             e2e_p95_secs: 0.0,
             e2e_p99_secs: 0.0,
-            cold_ratio_cdf: Vec::new(),
+            cold_ratio_deciles: [0.0; 10],
             provider_costs: provider_models.iter().map(|p| (p.name, 0.0)).collect(),
-        };
-        let mut e2e_all = Vec::new();
-        let mut cold_ratios = Vec::new();
-        for (function, replay) in trace.functions.iter().zip(&functions) {
-            let fv = &replay.variants[v];
-            report.invocations += fv.stats.invocations();
-            report.cold_starts += fv.stats.cold_starts;
-            report.warm_starts += fv.stats.warm_starts;
-            report.queued_requests += fv.stats.queued_requests;
-            report.invocation_cost += fv.stats.invocation_cost;
-            report.provisioned_cost += fv.stats.provisioned_cost;
-            e2e_all.extend_from_slice(&fv.e2e_secs);
-            if fv.stats.invocations() > 0 {
-                cold_ratios.push(fv.stats.cold_starts as f64 / fv.stats.invocations() as f64);
+        })
+        .collect();
+    let mut cold_ratios: Vec<Vec<f64>> = vec![Vec::new(); pools.len()];
+    let slots = slots.into_inner().expect("replay slots poisoned");
+    for (app, per_variant) in slots
+        .into_iter()
+        .map(|slot| slot.expect("every function produced a result"))
+    {
+        for ((stats, report), ratios) in per_variant
+            .iter()
+            .zip(variants.iter_mut())
+            .zip(cold_ratios.iter_mut())
+        {
+            report.invocations += stats.invocations();
+            report.cold_starts += stats.cold_starts;
+            report.warm_starts += stats.warm_starts;
+            report.queued_requests += stats.queued_requests;
+            report.invocation_cost += stats.invocation_cost;
+            report.provisioned_cost += stats.provisioned_cost;
+            if stats.invocations() > 0 {
+                ratios.push(stats.cold_starts as f64 / stats.invocations() as f64);
             }
-            let app = app_for(function, options);
-            let checkpoint = &platform.config.checkpoint;
-            let (snapshot_mb, cold_billable_ms) = match mode {
-                StartMode::Standard => (0.0, app.cold_billable_ms()),
-                StartMode::Restore => (
-                    checkpoint.snapshot_mb(app.mem_mb),
-                    (checkpoint.cr_init_secs(app.mem_mb) + app.exec_secs) * 1000.0,
-                ),
+            let cold_billable_ms = match report.mode {
+                StartMode::Standard => app.cold_billable_ms(),
+                StartMode::Restore => {
+                    report.snapstart_cost += snap_pricing.window_cost(
+                        checkpoint.snapshot_mb(app.mem_mb),
+                        window_secs,
+                        stats.cold_starts,
+                    );
+                    (checkpoint.cr_init_secs(app.mem_mb) + app.exec_secs) * 1000.0
+                }
             };
-            if mode == StartMode::Restore {
-                report.snapstart_cost +=
-                    snap_pricing.window_cost(snapshot_mb, trace.window_secs, fv.stats.cold_starts);
-            }
             // Pool dynamics (who is cold, who queues) are pricing-agnostic,
             // so each provider's bill follows analytically from the
             // cold/warm split under its own rounding and memory rules.
@@ -299,44 +408,90 @@ pub fn replay_trace(
                 total.1 += provider.pricing.cost_for_invocations(
                     app.mem_mb,
                     cold_billable_ms,
-                    fv.stats.cold_starts,
+                    stats.cold_starts,
                 ) + provider.pricing.cost_for_invocations(
                     app.mem_mb,
                     app.warm_billable_ms(),
-                    fv.stats.warm_starts,
+                    stats.warm_starts,
                 );
             }
         }
-        report.e2e_p50_secs = percentile(&e2e_all, 50.0);
-        report.e2e_p95_secs = percentile(&e2e_all, 95.0);
-        report.e2e_p99_secs = percentile(&e2e_all, 99.0);
-        report.cold_ratio_cdf = cdf(&cold_ratios);
+    }
+    for ((report, summary), ratios) in variants.iter_mut().zip(&summaries).zip(&cold_ratios) {
+        report.e2e_p50_secs = summary.percentile(50.0);
+        report.e2e_p95_secs = summary.percentile(95.0);
+        report.e2e_p99_secs = summary.percentile(99.0);
+        for (d, decile) in report.cold_ratio_deciles.iter_mut().enumerate() {
+            *decile = percentile(ratios, (d + 1) as f64 * 10.0);
+        }
         let total = report.total_cost();
         report.snapstart_share = if total > 0.0 {
             report.snapstart_cost / total
         } else {
             0.0
         };
-        variants.push(report);
     }
     ReplayReport {
-        window_secs: trace.window_secs,
+        window_secs,
         functions,
+        invocations: variants.first().map_or(0, |v| v.invocations),
         variants,
     }
 }
 
-fn mode_name(mode: StartMode) -> &'static str {
-    match mode {
-        StartMode::Standard => "standard",
-        StartMode::Restore => "restore",
-    }
+/// Replay every function of `trace` under every (mode × keep-alive)
+/// variant of `options`, fanning the per-function work out over
+/// `options.jobs` threads. E2E percentiles are exact. Deterministic: the
+/// report is identical whatever the worker count.
+///
+/// # Panics
+///
+/// Panics if a function's arrivals are unsorted or contain NaN (the
+/// loader and the generator never produce such a trace).
+pub fn replay_trace(
+    platform: &Platform,
+    trace: &TraceSet,
+    options: &ReplayOptions,
+) -> ReplayReport {
+    replay::<_, Samples>(
+        platform,
+        trace.functions.len(),
+        trace.window_secs,
+        options,
+        |i| &trace.functions[i],
+    )
+}
+
+/// Stream-replay the synthetic fleet described by `config` under every
+/// (mode × keep-alive) variant of `options`, fanning function indices out
+/// over `options.jobs` workers. No arrival vector is ever materialized;
+/// memory stays bounded by fleet size, not invocation count. E2E
+/// percentiles are histogram estimates; everything else equals
+/// [`replay_trace`] on `generate_trace(config)`. The report is
+/// byte-identical whatever the worker count.
+///
+/// # Errors
+///
+/// [`TraceError::InvalidWindow`] / [`TraceError::InvalidDiurnal`] if
+/// `config` is degenerate.
+pub fn replay_fleet(
+    platform: &Platform,
+    config: &TraceConfig,
+    options: &ReplayOptions,
+) -> Result<FleetReport, TraceError> {
+    config.validate()?;
+    Ok(replay::<_, LogHistogram>(
+        platform,
+        config.functions,
+        config.window_secs,
+        options,
+        |i| synthesize_function(config, i),
+    ))
 }
 
 /// Render the deterministic metrics block of a replay as a JSON string —
-/// shared by `experiments -- replay` (which embeds it in
-/// `BENCH_replay.json`) and the tier-1 golden-fixture test (which asserts
-/// byte-identity across runs and worker counts). Only replay-derived
+/// shared by `simulate --out`, `experiments -- replay` (which embeds it in
+/// `BENCH_replay.json`) and the tier-1 golden test. Only replay-derived
 /// numbers appear here; harness-variable fields (throughput, host) live
 /// outside this block.
 pub fn render_metrics_json(report: &ReplayReport) -> String {
@@ -344,21 +499,14 @@ pub fn render_metrics_json(report: &ReplayReport) -> String {
     out.push_str("{\n");
     out.push_str(&format!(
         "  \"window_secs\": {},\n  \"functions\": {},\n  \"invocations\": {},\n",
-        report.window_secs,
-        report.functions.len(),
-        report
-            .functions
-            .iter()
-            .map(|f| f.invocations)
-            .sum::<usize>()
+        report.window_secs, report.functions, report.invocations
     ));
     out.push_str("  \"variants\": [\n");
     for (i, v) in report.variants.iter().enumerate() {
-        let deciles: Vec<String> = (1..=10)
-            .map(|d| {
-                let ratios: Vec<f64> = v.cold_ratio_cdf.iter().map(|&(r, _)| r).collect();
-                format!("{}", percentile(&ratios, d as f64 * 10.0))
-            })
+        let deciles: Vec<String> = v
+            .cold_ratio_deciles
+            .iter()
+            .map(|d| format!("{d}"))
             .collect();
         let provider_costs: Vec<String> = v
             .provider_costs
@@ -400,64 +548,92 @@ pub fn render_metrics_json(report: &ReplayReport) -> String {
     out
 }
 
+fn mode_name(mode: StartMode) -> &'static str {
+    match mode {
+        StartMode::Standard => "standard",
+        StartMode::Restore => "restore",
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use super::super::synthetic::{generate_trace, TraceConfig};
+    use super::super::synthetic::generate_trace;
     use super::*;
 
-    fn small_trace() -> TraceSet {
-        generate_trace(&TraceConfig {
+    fn small_config() -> TraceConfig {
+        TraceConfig {
             functions: 24,
             window_secs: 4.0 * 3600.0,
             seed: 99,
             diurnal: None,
-        })
+        }
+    }
+
+    fn small_trace() -> TraceSet {
+        generate_trace(&small_config())
     }
 
     #[test]
     fn replay_covers_every_function_and_variant() {
         let trace = small_trace();
         let report = replay_trace(&Platform::default(), &trace, &ReplayOptions::default());
-        assert_eq!(report.functions.len(), 24);
+        assert_eq!(report.functions, 24);
         assert_eq!(report.variants.len(), 4); // 2 modes × 2 keep-alives
-        for f in &report.functions {
-            assert_eq!(f.variants.len(), 4);
-            for v in &f.variants {
-                assert_eq!(v.stats.invocations() as usize, f.invocations);
-                assert_eq!(v.e2e_secs.len(), f.invocations);
-            }
+        assert_eq!(report.invocations as usize, trace.invocations());
+        for v in &report.variants {
+            assert_eq!(v.invocations as usize, trace.invocations());
+            assert_eq!(v.cold_starts + v.warm_starts, v.invocations);
         }
-        let total: u64 = report.variants[0].invocations;
-        assert_eq!(total as usize, trace.invocations());
     }
 
     #[test]
     fn worker_count_does_not_change_the_report() {
         let trace = small_trace();
         let platform = Platform::default();
-        let base = ReplayOptions::default();
-        let seq = replay_trace(
-            &platform,
-            &trace,
-            &ReplayOptions {
-                jobs: 1,
-                ..base.clone()
-            },
-        );
-        let par = replay_trace(
-            &platform,
-            &trace,
-            &ReplayOptions {
-                jobs: 8,
-                ..base.clone()
-            },
-        );
-        assert_eq!(seq, par, "replay must be deterministic across --jobs");
-        assert_eq!(
-            render_metrics_json(&seq),
-            render_metrics_json(&par),
-            "rendered metrics must be byte-identical across --jobs"
-        );
+        let config = small_config();
+        for jobs in [2, 8] {
+            let options = ReplayOptions {
+                jobs,
+                ..ReplayOptions::default()
+            };
+            let sequential = ReplayOptions::default();
+            assert_eq!(
+                replay_trace(&platform, &trace, &sequential),
+                replay_trace(&platform, &trace, &options),
+                "replay must be deterministic across --jobs"
+            );
+            assert_eq!(
+                replay_fleet(&platform, &config, &sequential),
+                replay_fleet(&platform, &config, &options),
+                "fleet replay must be deterministic across --jobs"
+            );
+        }
+    }
+
+    #[test]
+    fn fleet_matches_materialized_replay_except_latency_estimates() {
+        let config = small_config();
+        let platform = Platform::default();
+        let options = ReplayOptions::default();
+        let mut fleet = replay_fleet(&platform, &config, &options).expect("valid config");
+        let mut replay = replay_trace(&platform, &generate_trace(&config), &options);
+        for (fv, rv) in fleet.variants.iter_mut().zip(replay.variants.iter_mut()) {
+            // Histogram percentiles are estimates: within one log-bin
+            // (≈ 4%) of the exact order statistic.
+            for (est, exact) in [
+                (&mut fv.e2e_p50_secs, &mut rv.e2e_p50_secs),
+                (&mut fv.e2e_p95_secs, &mut rv.e2e_p95_secs),
+                (&mut fv.e2e_p99_secs, &mut rv.e2e_p99_secs),
+            ] {
+                assert!(
+                    *est / *exact > 0.95 && *est / *exact < 1.05,
+                    "histogram percentile {est} too far from exact {exact}"
+                );
+                *est = *exact;
+            }
+        }
+        // Same stats summed in the same (function) order: bit-identical.
+        assert_eq!(fleet, replay);
     }
 
     #[test]
@@ -504,17 +680,14 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_are_ordered_and_cdf_well_formed() {
+    fn percentiles_and_deciles_are_ordered() {
         let trace = small_trace();
         let report = replay_trace(&Platform::default(), &trace, &ReplayOptions::default());
         for v in &report.variants {
             assert!(v.e2e_p50_secs <= v.e2e_p95_secs);
             assert!(v.e2e_p95_secs <= v.e2e_p99_secs);
-            assert!(!v.cold_ratio_cdf.is_empty());
-            assert_eq!(v.cold_ratio_cdf.last().unwrap().1, 1.0);
-            for w in v.cold_ratio_cdf.windows(2) {
-                assert!(w[0].0 <= w[1].0 && w[0].1 <= w[1].1);
-            }
+            assert!(v.cold_ratio_deciles.windows(2).all(|w| w[0] <= w[1]));
+            assert!(v.cold_ratio_deciles[9] > 0.0 && v.cold_ratio_deciles[9] <= 1.0);
         }
     }
 
@@ -533,18 +706,78 @@ mod tests {
     }
 
     #[test]
-    fn empty_trace_replays_to_zeroes() {
+    fn empty_trace_and_fleet_replay_to_zeroes() {
         let trace = TraceSet {
             window_secs: 60.0,
             functions: vec![],
             source: super::super::TraceSource::Synthetic { seed: 0 },
         };
-        let report = replay_trace(&Platform::default(), &trace, &ReplayOptions::default());
-        assert!(report.functions.is_empty());
+        let platform = Platform::default();
+        let options = ReplayOptions::default();
+        let fleet = TraceConfig {
+            functions: 0,
+            ..small_config()
+        };
+        for report in [
+            replay_trace(&platform, &trace, &options),
+            replay_fleet(&platform, &fleet, &options).expect("valid"),
+        ] {
+            assert_eq!(report.functions, 0);
+            assert_eq!(report.invocations, 0);
+            for v in &report.variants {
+                assert_eq!(v.invocations, 0);
+                assert_eq!(v.total_cost(), 0.0);
+                assert_eq!(v.cold_ratio(), 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_fleet_config_is_a_typed_error() {
+        let config = TraceConfig {
+            window_secs: 0.0,
+            ..small_config()
+        };
+        assert!(replay_fleet(&Platform::default(), &config, &ReplayOptions::default()).is_err());
+    }
+
+    #[test]
+    fn histogram_percentiles_are_monotone() {
+        let mut hist = LogHistogram::default();
+        hist.0[100] = 50;
+        hist.0[200] = 40;
+        hist.0[300] = 10;
+        let p50 = hist.percentile(50.0);
+        let p95 = hist.percentile(95.0);
+        let p99 = hist.percentile(99.0);
+        assert!(0.0 < p50 && p50 <= p95 && p95 <= p99);
+        assert_eq!(LogHistogram::default().percentile(50.0), 0.0);
+    }
+
+    #[test]
+    fn zero_arrival_fleet_reports_zero_stat_slots() {
+        // A window short enough that every synthetic function's first
+        // arrival falls outside it: the empty histograms must surface as
+        // explicit zero slots, and the render must carry no NaN.
+        let config = TraceConfig {
+            functions: 3,
+            window_secs: 1e-6,
+            seed: 5,
+            diurnal: None,
+        };
+        let report =
+            replay_fleet(&Platform::default(), &config, &ReplayOptions::default()).expect("valid");
+        assert_eq!(report.invocations, 0);
         for v in &report.variants {
             assert_eq!(v.invocations, 0);
-            assert_eq!(v.total_cost(), 0.0);
             assert_eq!(v.cold_ratio(), 0.0);
+            assert_eq!(
+                (v.e2e_p50_secs, v.e2e_p95_secs, v.e2e_p99_secs),
+                (0.0, 0.0, 0.0)
+            );
+            assert_eq!(v.cold_ratio_deciles, [0.0; 10]);
         }
+        let json = render_metrics_json(&report);
+        assert!(!json.contains("NaN"), "{json}");
     }
 }

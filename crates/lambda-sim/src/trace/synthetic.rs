@@ -23,11 +23,11 @@
 //! fleet can be generated on any worker in any order, and arrivals come out
 //! of [`SyntheticFunction::arrivals`] as a sorted iterator that never
 //! materializes a `Vec<f64>`. A 40k-function fleet with 10⁸ invocations
-//! streams through the replay engine in bounded memory (see
+//! streams through the replay core in bounded memory (see
 //! [`super::replay_fleet`]). [`generate_trace`] is a thin wrapper that
-//! collects every stream into [`FunctionTrace`]s, so the materialized and
-//! streaming paths are byte-identical by construction (and pinned by
-//! tests).
+//! collects every stream into [`FunctionTrace`]s, so the materialized
+//! trace [`super::replay_trace`] reads and the stream [`super::replay_fleet`]
+//! reads are byte-identical by construction (and pinned by tests).
 
 use super::reconstruct::fnv1a64;
 use super::{
@@ -226,7 +226,7 @@ pub fn synthesize_function(config: &TraceConfig, id: usize) -> SyntheticFunction
 
 /// Generate a synthetic Azure-style trace by materializing every
 /// function's arrival stream (see [`synthesize_function`] for the
-/// streaming path the fleet replayer uses instead).
+/// streaming source [`super::replay_fleet`] uses instead).
 ///
 /// # Panics
 ///

@@ -74,7 +74,7 @@ simulate:
     --window-secs <S>   synthetic window length           [default: 86400]
     --seed <N>          trace/reconstruction seed         [default: 10824387]
     --flat              disable diurnal modulation (synthetic only)
-    --keep-alive <LIST> comma-separated seconds           [default: 60,900]
+    --keep-alive <LIST> comma-separated seconds >= 0      [default: 60,900]
     --modes <LIST>      comma-separated standard|restore  [default: both]
     --max-concurrency <N> per-function concurrency cap    [default: none]
     --provisioned <N>   provisioned instances per function[default: 0]
@@ -484,9 +484,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {
-    use lambda_sim::trace::replay::render_metrics_json;
     use lambda_sim::{
-        DiurnalProfile, Platform, ReplayOptions, StartMode, TraceConfig, TraceSource,
+        render_metrics_json, DiurnalProfile, Platform, ReplayOptions, StartMode, TraceConfig,
+        TraceSource,
     };
     args.check_options(
         &[
@@ -504,20 +504,41 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         &["flat", "stream"],
     )?;
 
-    let parse_num = |flag: &str, default: f64| -> Result<f64, String> {
-        match args.get(flag) {
-            Some(v) => v.parse().map_err(|_| format!("bad --{flag} value `{v}`")),
-            None => Ok(default),
+    let stream = args.has_flag("stream");
+    let trace_path = args.get("trace");
+    if trace_path.is_some() {
+        if stream {
+            return Err("--stream replays a synthetic fleet with bounded memory; \
+                 it cannot be combined with --trace"
+                .to_owned());
         }
-    };
+        // A loaded trace has its own functions, window and rates.
+        for option in ["functions", "window-secs", "flat"] {
+            if args.get(option).is_some() || args.has_flag(option) {
+                return Err(format!(
+                    "--{option} shapes a synthetic trace; it cannot be combined with --trace"
+                ));
+            }
+        }
+    }
     let seed: u64 = match args.get("seed") {
         Some(v) => v.parse().map_err(|_| format!("bad --seed value `{v}`"))?,
         None => 0xA57AC3,
     };
     let synth_config = || -> Result<TraceConfig, String> {
         let config = TraceConfig {
-            functions: parse_num("functions", 400.0)? as usize,
-            window_secs: parse_num("window-secs", 24.0 * 3600.0)?,
+            functions: match args.get("functions") {
+                Some(v) => v.parse().map_err(|_| {
+                    format!("bad --functions value `{v}` (expected a non-negative integer)")
+                })?,
+                None => 400,
+            },
+            window_secs: match args.get("window-secs") {
+                Some(v) => v
+                    .parse()
+                    .map_err(|_| format!("bad --window-secs value `{v}`"))?,
+                None => 24.0 * 3600.0,
+            },
             seed,
             diurnal: if args.has_flag("flat") {
                 None
@@ -528,20 +549,6 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         config.validate().map_err(|e| e.to_string())?;
         Ok(config)
     };
-    let stream = args.has_flag("stream");
-    if stream && args.get("trace").is_some() {
-        return Err("--stream replays a synthetic fleet with bounded memory; \
-             it cannot be combined with --trace"
-            .to_owned());
-    }
-
-    let trace = match (stream, args.get("trace")) {
-        (true, _) => None,
-        (false, Some(path)) => {
-            Some(lambda_sim::load_trace_csv(path, seed).map_err(|e| e.to_string())?)
-        }
-        (false, None) => Some(lambda_sim::generate_trace(&synth_config()?)),
-    };
 
     let mut options = ReplayOptions {
         jobs: parse_jobs(args)?,
@@ -550,10 +557,11 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     if let Some(list) = args.get("keep-alive") {
         options.keep_alive_secs = list
             .split(',')
-            .map(|v| {
-                v.trim()
-                    .parse()
-                    .map_err(|_| format!("bad --keep-alive entry `{v}`"))
+            .map(|v| match v.trim().parse::<f64>() {
+                Ok(secs) if secs.is_finite() && secs >= 0.0 => Ok(secs),
+                _ => Err(format!(
+                    "bad --keep-alive entry `{v}` (expected a finite number of seconds >= 0)"
+                )),
             })
             .collect::<Result<_, _>>()?;
     }
@@ -570,10 +578,14 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             .collect::<Result<_, _>>()?;
     }
     if let Some(cap) = args.get("max-concurrency") {
-        options.max_concurrency = Some(
-            cap.parse()
-                .map_err(|_| format!("bad --max-concurrency value `{cap}`"))?,
-        );
+        options.max_concurrency = match cap.parse::<usize>() {
+            Ok(cap) if cap > 0 => Some(cap),
+            _ => {
+                return Err(format!(
+                    "bad --max-concurrency value `{cap}` (expected an integer >= 1)"
+                ))
+            }
+        };
     }
     if let Some(p) = args.get("provisioned") {
         options.provisioned = p
@@ -581,105 +593,67 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             .map_err(|_| format!("bad --provisioned value `{p}`"))?;
     }
 
-    let header = || {
-        println!(
-            "{:<10} {:>12} {:>12} {:>10} {:>8} {:>10} {:>10} {:>12}",
-            "mode", "keep-alive s", "cold ratio", "queued", "p50 s", "p95 s", "p99 s", "total $"
-        )
-    };
-    #[allow(clippy::too_many_arguments)]
-    fn variant_row(
-        mode: StartMode,
-        keep_alive_secs: f64,
-        cold_ratio: f64,
-        queued: u64,
-        p50: f64,
-        p95: f64,
-        p99: f64,
-        total: f64,
-        provider_costs: &[(&'static str, f64)],
-    ) {
-        println!(
-            "{:<10} {:>12.0} {:>12.4} {:>10} {:>8.3} {:>10.3} {:>10.3} {:>12.6}",
-            match mode {
-                StartMode::Standard => "standard",
-                StartMode::Restore => "restore",
-            },
-            keep_alive_secs,
-            cold_ratio,
-            queued,
-            p50,
-            p95,
-            p99,
-            total
-        );
-        for (provider, cost) in provider_costs {
-            println!("{:<10} {:>26}: ${cost:.6}", "", provider);
-        }
-    }
-
-    let Some(trace) = trace else {
-        // Fleet streaming path: arrivals never materialize, so the sweep
-        // scales to fleet sizes whose traces would not fit in memory.
-        let config = synth_config()?;
-        eprintln!(
-            "streaming synthetic fleet: {} functions over {:.0} s ({} job{})",
-            config.functions,
-            config.window_secs,
-            options.jobs,
-            if options.jobs == 1 { "" } else { "s" }
-        );
-        let report = lambda_sim::replay_fleet(&Platform::default(), &config, &options)
-            .map_err(|e| e.to_string())?;
-        eprintln!("replayed {} invocations per variant", report.invocations);
-        header();
-        for v in &report.variants {
-            variant_row(
-                v.mode,
-                v.keep_alive_secs,
-                v.cold_ratio(),
-                v.queued_requests,
-                v.e2e_p50_secs,
-                v.e2e_p95_secs,
-                v.e2e_p99_secs,
-                v.total_cost(),
-                &v.provider_costs,
-            );
-        }
-        if let Some(out) = args.get("out") {
-            std::fs::write(out, lambda_sim::render_fleet_metrics_json(&report) + "\n")
-                .map_err(|e| format!("writing {out}: {e}"))?;
-            eprintln!("metrics written to {out}");
-        }
-        return Ok(());
-    };
-
-    let source = match trace.source {
-        TraceSource::Loaded { .. } => "loaded",
-        TraceSource::Synthetic { .. } => "synthetic",
-    };
-    eprintln!(
-        "replaying {source} trace: {} functions, {} invocations over {:.0} s ({} job{})",
-        trace.functions.len(),
-        trace.invocations(),
-        trace.window_secs,
+    let jobs = format!(
+        "{} job{}",
         options.jobs,
         if options.jobs == 1 { "" } else { "s" }
     );
-    let report = lambda_sim::replay_trace(&Platform::default(), &trace, &options);
-    header();
+    let trace = match trace_path {
+        Some(path) => Some(lambda_sim::load_trace_csv(path, seed).map_err(|e| e.to_string())?),
+        None if stream => None,
+        None => Some(lambda_sim::generate_trace(&synth_config()?)),
+    };
+    let report = match trace {
+        Some(trace) => {
+            let source = match trace.source {
+                TraceSource::Loaded { .. } => "loaded",
+                TraceSource::Synthetic { .. } => "synthetic",
+            };
+            eprintln!(
+                "replaying {source} trace: {} functions, {} invocations over {:.0} s ({jobs})",
+                trace.functions.len(),
+                trace.invocations(),
+                trace.window_secs
+            );
+            lambda_sim::replay_trace(&Platform::default(), &trace, &options)
+        }
+        None => {
+            // Fleet streaming path: arrivals never materialize, so the sweep
+            // scales to fleet sizes whose traces would not fit in memory.
+            let config = synth_config()?;
+            eprintln!(
+                "streaming synthetic fleet: {} functions over {:.0} s ({jobs})",
+                config.functions, config.window_secs
+            );
+            let report = lambda_sim::replay_fleet(&Platform::default(), &config, &options)
+                .map_err(|e| e.to_string())?;
+            eprintln!("replayed {} invocations per variant", report.invocations);
+            report
+        }
+    };
+
+    println!(
+        "{:<10} {:>12} {:>12} {:>10} {:>8} {:>10} {:>10} {:>12}",
+        "mode", "keep-alive s", "cold ratio", "queued", "p50 s", "p95 s", "p99 s", "total $"
+    );
     for v in &report.variants {
-        variant_row(
-            v.mode,
+        println!(
+            "{:<10} {:>12.0} {:>12.4} {:>10} {:>8.3} {:>10.3} {:>10.3} {:>12.6}",
+            match v.mode {
+                StartMode::Standard => "standard",
+                StartMode::Restore => "restore",
+            },
             v.keep_alive_secs,
             v.cold_ratio(),
             v.queued_requests,
             v.e2e_p50_secs,
             v.e2e_p95_secs,
             v.e2e_p99_secs,
-            v.total_cost(),
-            &v.provider_costs,
+            v.total_cost()
         );
+        for (provider, cost) in &v.provider_costs {
+            println!("{:<10} {:>26}: ${cost:.6}", "", provider);
+        }
     }
     if let Some(out) = args.get("out") {
         std::fs::write(out, render_metrics_json(&report) + "\n")

@@ -84,7 +84,25 @@ fn bad_options_fail_every_command_before_any_work() {
         ("run", "event", "", "needs a value"),
         ("simulate", "function", "8", "unknown option"),
         ("simulate", "stream", "yes", "takes no value"),
+        ("simulate", "keep-alive", "nan", "finite number"),
+        ("simulate", "keep-alive", "60,inf", "finite number"),
+        ("simulate", "keep-alive", "-60", "finite number"),
+        ("simulate", "functions", "-3", "non-negative integer"),
+        ("simulate", "functions", "2.9", "non-negative integer"),
+        ("simulate", "max-concurrency", "0", "integer >= 1"),
     ];
+    let rejected = |args: &[&str], flag: &str, fault: &str| {
+        let out = lambda_trim(&dir, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?} was accepted");
+        assert!(
+            stderr.contains(flag) && stderr.contains(fault),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} did work first");
+        assert!(!dir.join("out").exists(), "{args:?} wrote --out");
+        assert!(!dir.join("metrics.json").exists(), "{args:?} wrote --out");
+    };
     for (command, option, value, fault) in cases {
         let flag = format!("--{option}");
         let mut args: Vec<&str> = base(command);
@@ -92,16 +110,18 @@ fn bad_options_fail_every_command_before_any_work() {
         if !value.is_empty() {
             args.push(value);
         }
-        let out = lambda_trim(&dir, &args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?} was accepted");
-        assert!(
-            stderr.contains(&flag) && stderr.contains(fault),
-            "{args:?}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "{args:?} did work first");
-        assert!(!dir.join("out").exists(), "{args:?} wrote --out");
-        assert!(!dir.join("metrics.json").exists(), "{args:?} wrote --out");
+        rejected(&args, &flag, fault);
+    }
+    // Options that only shape a synthetic trace cannot go with --trace.
+    let trace = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/azure_trace_sample.csv");
+    let trace = trace.to_str().expect("utf8 path");
+    for (option, value) in [("functions", "5"), ("window-secs", "600"), ("flat", "")] {
+        let flag = format!("--{option}");
+        let mut args = vec!["simulate", "--trace", trace, "--out", "metrics.json", &flag];
+        if !value.is_empty() {
+            args.push(value);
+        }
+        rejected(&args, &flag, "cannot be combined with --trace");
     }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -7,6 +7,8 @@
 //! is exercised over a fixed-seed stream of generated cases.
 #![cfg(feature = "property-tests")]
 
+mod naive_pool;
+
 use std::collections::BTreeSet;
 use trim_dd::{ddmin, is_one_minimal};
 use trim_rng::Rng;
@@ -248,7 +250,7 @@ fn random_arrivals(rng: &mut Rng) -> Vec<f64> {
     arrivals
 }
 
-/// `simulate_pool_ext` never runs more than `max_concurrency` requests at
+/// `simulate_pool` never runs more than `max_concurrency` requests at
 /// any instant, over randomized arrival sets, caps, and app profiles
 /// (the concurrency-accounting bugfix's acceptance property).
 #[test]
@@ -273,12 +275,13 @@ fn ext_pool_never_exceeds_concurrency_cap() {
         };
         let mut deltas: Vec<(f64, i64)> = Vec::new();
         let stats =
-            lambda_sim::simulate_pool_ext_traced(&platform, &app, &arrivals, &options, |e| {
+            lambda_sim::simulate_pool(&platform, &app, arrivals.iter().copied(), &options, |e| {
                 assert!(e.start >= e.arrival, "dispatch cannot precede arrival");
                 assert!(e.finish > e.start, "execution takes time");
                 deltas.push((e.start, 1));
                 deltas.push((e.finish, -1));
-            });
+            })
+            .expect("sorted arrivals");
         assert_eq!(stats.invocations() as usize, arrivals.len());
         // Sweep: at equal timestamps, releases (-1) before claims (+1).
         deltas.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -297,50 +300,8 @@ fn ext_pool_never_exceeds_concurrency_cap() {
     }
 }
 
-/// With provisioned/cap features off, the extended pool is exactly the
-/// basic keep-alive pool — over random (not just evenly spaced) arrivals.
-#[test]
-fn ext_pool_matches_basic_pool_on_random_arrivals() {
-    let platform = lambda_sim::Platform::default();
-    let mut rng = Rng::seed_from_u64(0xd1ff);
-    for _ in 0..CASES {
-        let arrivals = random_arrivals(&mut rng);
-        let keep_alive = rng.f64() * 1200.0;
-        let mode = if rng.bool() {
-            lambda_sim::StartMode::Standard
-        } else {
-            lambda_sim::StartMode::Restore
-        };
-        let app = lambda_sim::AppProfile::new(
-            "prop",
-            rng.f64() * 500.0,
-            rng.f64() * 3.0,
-            0.01 + rng.f64() * 30.0,
-            64.0 + rng.f64() * 1024.0,
-        );
-        let basic = lambda_sim::simulate_pool(&platform, &app, &arrivals, keep_alive, mode);
-        let ext = lambda_sim::simulate_pool_ext(
-            &platform,
-            &app,
-            &arrivals,
-            &lambda_sim::PoolOptions {
-                keep_alive_secs: keep_alive,
-                mode,
-                provisioned: 0,
-                max_concurrency: None,
-                ..lambda_sim::PoolOptions::default()
-            },
-        );
-        assert_eq!(basic.cold_starts, ext.cold_starts);
-        assert_eq!(basic.warm_starts, ext.warm_starts);
-        assert_eq!(ext.queued_requests, 0);
-        assert!((basic.total_cost - ext.invocation_cost).abs() < 1e-12);
-        assert!((basic.total_e2e_secs - ext.total_e2e_secs).abs() < 1e-9);
-    }
-}
-
-/// The event-driven pool engine is byte-identical to the retained naive
-/// oracle — ExtPoolStats and the full traced PoolEvent stream — over
+/// The event-driven pool engine is byte-identical to the reference engine
+/// in `tests/naive_pool/` — PoolStats and the full traced PoolEvent stream — over
 /// randomized bursty workloads spanning provisioned instances, concurrency
 /// caps (including `Some(0)` and `Some(1)`), zero keep-alive, and both
 /// start modes. The instantaneous concurrency of the event engine must
@@ -379,18 +340,18 @@ fn event_pool_engine_matches_naive_oracle_on_random_workloads() {
             ..lambda_sim::PoolOptions::default()
         };
         let mut naive_events = Vec::new();
-        let naive =
-            lambda_sim::simulate_pool_ext_naive_traced(&platform, &app, &arrivals, &options, |e| {
-                naive_events.push(e)
-            });
+        let naive = naive_pool::simulate_naive(&platform, &app, &arrivals, &options, |e| {
+            naive_events.push(e)
+        });
         let mut event_events = Vec::new();
         let mut deltas: Vec<(f64, i64)> = Vec::new();
         let event =
-            lambda_sim::simulate_pool_ext_traced(&platform, &app, &arrivals, &options, |e| {
+            lambda_sim::simulate_pool(&platform, &app, arrivals.iter().copied(), &options, |e| {
                 deltas.push((e.start, 1));
                 deltas.push((e.finish, -1));
                 event_events.push(e);
-            });
+            })
+            .expect("sorted arrivals");
         assert_eq!(naive, event, "case {case}: stats diverged");
         assert_eq!(naive_events, event_events, "case {case}: events diverged");
         if let Some(cap) = cap {

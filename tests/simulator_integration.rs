@@ -3,7 +3,7 @@
 
 use lambda_sim::{
     generate_trace, nearest_function, simulate_pool, AppProfile, CheckpointModel, Platform,
-    SnapStartPricing, StartMode, TraceConfig,
+    PoolOptions, PoolStats, SnapStartPricing, StartMode, TraceConfig,
 };
 
 fn measured_profile(name: &str) -> AppProfile {
@@ -16,6 +16,28 @@ fn measured_profile(name: &str) -> AppProfile {
         exec.exec_secs,
         exec.mem_mb,
     )
+}
+
+/// The keep-alive pool with provisioning and the concurrency cap off.
+fn keep_alive_pool(
+    profile: &AppProfile,
+    arrivals: &[f64],
+    keep_alive_secs: f64,
+    mode: StartMode,
+) -> PoolStats {
+    let options = PoolOptions {
+        keep_alive_secs,
+        mode,
+        ..PoolOptions::default()
+    };
+    simulate_pool(
+        &Platform::default(),
+        profile,
+        arrivals.iter().copied(),
+        &options,
+        |_| {},
+    )
+    .expect("sorted arrivals")
 }
 
 #[test]
@@ -33,7 +55,6 @@ fn cold_starts_cost_more_than_warm_for_every_app() {
 
 #[test]
 fn keep_alive_monotonically_reduces_cold_starts() {
-    let platform = Platform::default();
     let profile = measured_profile("markdown");
     let trace = generate_trace(&TraceConfig {
         functions: 5,
@@ -50,13 +71,7 @@ fn keep_alive_monotonically_reduces_cold_starts() {
         .clone();
     let mut last_cold = u64::MAX;
     for keep_alive in [30.0, 300.0, 3600.0, 24.0 * 3600.0] {
-        let stats = simulate_pool(
-            &platform,
-            &profile,
-            &arrivals,
-            keep_alive,
-            StartMode::Standard,
-        );
+        let stats = keep_alive_pool(&profile, &arrivals, keep_alive, StartMode::Standard);
         assert!(
             stats.cold_starts <= last_cold,
             "longer keep-alive must not add cold starts"
@@ -87,19 +102,18 @@ fn restore_mode_helps_slow_init_apps_only() {
 fn snapstart_cache_dominates_for_rarely_invoked_functions() {
     // Figure 13's core finding: for most functions, C/R support costs more
     // than the function itself.
-    let platform = Platform::default();
     let pricing = SnapStartPricing::default();
     let ckpt = CheckpointModel::default();
     let profile = measured_profile("lightgbm");
     // Five invocations a day.
     let arrivals: Vec<f64> = (0..5).map(|i| i as f64 * 17_000.0).collect();
-    let stats = simulate_pool(&platform, &profile, &arrivals, 900.0, StartMode::Restore);
+    let stats = keep_alive_pool(&profile, &arrivals, 900.0, StartMode::Restore);
     let snapshot_mb = ckpt.snapshot_mb(profile.mem_mb);
     let snap_cost = pricing.window_cost(snapshot_mb, 24.0 * 3600.0, stats.cold_starts);
     assert!(
-        snap_cost > stats.total_cost,
+        snap_cost > stats.invocation_cost,
         "cache+restore (${snap_cost:.6}) should exceed invocation cost (${:.6})",
-        stats.total_cost
+        stats.invocation_cost
     );
 }
 
@@ -130,16 +144,13 @@ fn trimmed_profile_shrinks_snapshot_and_restore() {
 
 #[test]
 fn pool_handles_empty_and_burst_arrivals() {
-    let platform = Platform::default();
     let profile = measured_profile("igraph");
-    let empty = simulate_pool(&platform, &profile, &[], 900.0, StartMode::Standard);
+    let empty = keep_alive_pool(&profile, &[], 900.0, StartMode::Standard);
     assert_eq!(empty.invocations(), 0);
-    assert_eq!(empty.total_cost, 0.0);
-    let burst: Vec<f64> = vec![0.0; 50];
-    let stats = simulate_pool(&platform, &profile, &burst, 900.0, StartMode::Standard);
+    assert_eq!(empty.total_cost(), 0.0);
+    let stats = keep_alive_pool(&profile, &[0.0; 50], 900.0, StartMode::Standard);
     assert_eq!(
         stats.cold_starts, 50,
         "simultaneous arrivals all cold-start"
     );
-    assert_eq!(stats.peak_instances, 50);
 }

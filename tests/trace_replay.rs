@@ -1,21 +1,33 @@
 //! Golden-fixture trace-replay test (tier-1): parses the checked-in
-//! Azure-schema CSV sample, replays it through the extended pool across
+//! Azure-schema CSV sample, replays it through the keep-alive pool across
 //! all StartMode x keep-alive variants, and pins down determinism — the
 //! rendered metrics must be byte-identical across repeated runs and
 //! across worker counts.
 //!
-//! Also pins the event-driven pool engine byte-identical (stats + traced
-//! events) to the retained naive oracle across the fixture, the streaming
-//! synthetic generator byte-identical to the materialized path (including
+//! Also pins the rendered metrics of both replay sources (the fixtures
+//! and synthetic configs, materialized and streamed) against
+//! `tests/golden/replay_metrics.txt`, the event-driven pool engine
+//! byte-identical (stats + traced events) to the reference engine in
+//! `tests/naive_pool/` across the fixture, the streaming synthetic
+//! generator byte-identical to the materialized path (including
 //! diurnal/weekend thinning and the timer exemption), and the streamed
 //! fleet replay deterministic across `--jobs` ∈ {1, 2, 8}.
+//!
+//! Regenerate the metrics golden (only when a change is meant to move
+//! replay numbers) with:
+//!
+//! ```text
+//! LT_UPDATE_GOLDEN=1 cargo test --test trace_replay
+//! ```
 
-use lambda_sim::trace::replay::render_metrics_json;
+mod naive_pool;
+
 use lambda_sim::{
-    generate_trace, load_trace_csv, render_fleet_metrics_json, replay_fleet, replay_trace,
-    simulate_pool_ext_naive_traced, simulate_pool_ext_traced, synthesize_function, AppProfile,
-    ArrivalClass, DiurnalProfile, Platform, PoolOptions, ReplayOptions, TraceConfig, TraceSource,
+    generate_trace, load_trace_csv, render_metrics_json, replay_fleet, replay_trace, simulate_pool,
+    synthesize_function, AppProfile, ArrivalClass, DiurnalProfile, Platform, PoolOptions,
+    ReplayOptions, ReplayReport, StartMode, TraceConfig, TraceSource,
 };
+use naive_pool::simulate_naive;
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -29,6 +41,85 @@ const ZERO_FIXTURE: &str = concat!(
     "/tests/golden/azure_trace_zero_sample.csv"
 );
 const SEED: u64 = 0xA57AC3;
+const METRICS_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/replay_metrics.txt"
+);
+
+/// The rendered metrics of every replay the golden pins, one section each.
+fn capture_replay_metrics() -> String {
+    let platform = Platform::default();
+    let fixture = load_trace_csv(FIXTURE, SEED).expect("fixture parses");
+    let zero = load_trace_csv(ZERO_FIXTURE, SEED).expect("zero fixture parses");
+    let diurnal = TraceConfig {
+        functions: 40,
+        window_secs: 6.0 * 3600.0,
+        seed: 19,
+        diurnal: Some(DiurnalProfile::default()),
+    };
+    let flat = TraceConfig {
+        diurnal: None,
+        ..diurnal.clone()
+    };
+    let defaults = ReplayOptions::default();
+    let capped = ReplayOptions {
+        jobs: 2,
+        max_concurrency: Some(3),
+        provisioned: 1,
+        ..ReplayOptions::default()
+    };
+    let sweep = ReplayOptions {
+        modes: vec![StartMode::Restore, StartMode::Standard],
+        keep_alive_secs: vec![0.0, 60.0, 3600.0],
+        ..ReplayOptions::default()
+    };
+    let trace = |t, o| render_metrics_json(&replay_trace(&platform, t, o));
+    let fleet = |c, o| render_metrics_json(&replay_fleet(&platform, c, o).expect("valid config"));
+    let sections = [
+        ("fixture, default options", trace(&fixture, &defaults)),
+        (
+            "fixture, jobs 2, max_concurrency 3, provisioned 1",
+            trace(&fixture, &capped),
+        ),
+        ("zero fixture, default options", trace(&zero, &defaults)),
+        (
+            "diurnal synthetic, materialized",
+            trace(&generate_trace(&diurnal), &defaults),
+        ),
+        ("diurnal synthetic, streamed", fleet(&diurnal, &defaults)),
+        (
+            "flat synthetic, modes restore+standard, keep-alive 0/60/3600, materialized",
+            trace(&generate_trace(&flat), &sweep),
+        ),
+        (
+            "flat synthetic, modes restore+standard, keep-alive 0/60/3600, streamed",
+            fleet(&flat, &sweep),
+        ),
+    ];
+    sections
+        .iter()
+        .map(|(name, json)| format!("== {name}\n{json}\n"))
+        .collect()
+}
+
+#[test]
+fn replay_metrics_match_golden() {
+    let actual = capture_replay_metrics();
+    if std::env::var("LT_UPDATE_GOLDEN").is_ok() {
+        std::fs::write(METRICS_GOLDEN, &actual).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(METRICS_GOLDEN)
+        .expect("golden exists; regenerate with LT_UPDATE_GOLDEN=1");
+    for (i, (a, g)) in actual.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(a, g, "replay metrics diverged at golden line {}", i + 1);
+    }
+    assert_eq!(
+        actual.lines().count(),
+        golden.lines().count(),
+        "replay metrics length changed"
+    );
+}
 
 #[test]
 fn golden_fixture_parses_with_expected_shape() {
@@ -96,10 +187,9 @@ fn golden_fixture_replay_is_deterministic_across_runs_and_jobs() {
 
 #[test]
 fn event_engine_matches_naive_oracle_on_golden_fixture() {
-    // The tentpole differential: the event-driven engine must be
-    // byte-identical — ExtPoolStats and the full PoolEvent stream — to the
-    // retained naive engine on every fixture function, under uncapped,
-    // capped, and provisioned pools.
+    // The event-driven engine must be byte-identical — PoolStats and the
+    // full PoolEvent stream — to the reference engine on every fixture
+    // function, under uncapped, capped, and provisioned pools.
     let platform = Platform::default();
     let trace = load_trace_csv(FIXTURE, SEED).expect("fixture parses");
     for function in &trace.functions {
@@ -114,6 +204,7 @@ fn event_engine_matches_naive_oracle_on_golden_fixture() {
             (None, 0, 900.0),
             (None, 0, 0.0),
             (Some(2), 0, 60.0),
+            (Some(2), 0, 900.0),
             (Some(4), 2, 900.0),
         ] {
             let pool = PoolOptions {
@@ -124,14 +215,18 @@ fn event_engine_matches_naive_oracle_on_golden_fixture() {
                 ..PoolOptions::default()
             };
             let mut naive_events = Vec::new();
-            let naive =
-                simulate_pool_ext_naive_traced(&platform, &app, &function.arrivals, &pool, |e| {
-                    naive_events.push(e)
-                });
-            let mut event_events = Vec::new();
-            let event = simulate_pool_ext_traced(&platform, &app, &function.arrivals, &pool, |e| {
-                event_events.push(e)
+            let naive = simulate_naive(&platform, &app, &function.arrivals, &pool, |e| {
+                naive_events.push(e)
             });
+            let mut event_events = Vec::new();
+            let event = simulate_pool(
+                &platform,
+                &app,
+                function.arrivals.iter().copied(),
+                &pool,
+                |e| event_events.push(e),
+            )
+            .expect("fixture arrivals are sorted");
             assert_eq!(naive, event, "{}: stats diverged", function.name);
             assert_eq!(
                 naive_events, event_events,
@@ -212,7 +307,7 @@ fn streamed_fleet_replay_is_deterministic_across_jobs() {
                 jobs,
                 ..ReplayOptions::default()
             };
-            render_fleet_metrics_json(
+            render_metrics_json(
                 &replay_fleet(&platform, &config, &options).expect("valid fleet config"),
             )
         })
@@ -224,8 +319,8 @@ fn streamed_fleet_replay_is_deterministic_across_jobs() {
 #[test]
 fn streamed_fleet_counts_match_materialized_replay() {
     // The streamed fleet and the materialized replay must agree exactly on
-    // counts and costs for the same config (percentiles are histogram
-    // estimates in the fleet path and are checked in-crate).
+    // every rendered field but the E2E percentiles, which the fleet path
+    // estimates from a histogram (their accuracy is checked in-crate).
     let platform = Platform::default();
     let config = TraceConfig {
         functions: 60,
@@ -234,17 +329,16 @@ fn streamed_fleet_counts_match_materialized_replay() {
         diurnal: Some(DiurnalProfile::default()),
     };
     let options = ReplayOptions::default();
+    let without_percentiles = |mut report: ReplayReport| {
+        for v in &mut report.variants {
+            (v.e2e_p50_secs, v.e2e_p95_secs, v.e2e_p99_secs) = (0.0, 0.0, 0.0);
+        }
+        render_metrics_json(&report)
+    };
     let fleet = replay_fleet(&platform, &config, &options).expect("valid fleet config");
     let replay = replay_trace(&platform, &generate_trace(&config), &options);
-    assert_eq!(fleet.invocations, replay.variants[0].invocations);
-    for (fv, rv) in fleet.variants.iter().zip(&replay.variants) {
-        assert_eq!(fv.cold_starts, rv.cold_starts);
-        assert_eq!(fv.warm_starts, rv.warm_starts);
-        assert_eq!(fv.queued_requests, rv.queued_requests);
-        assert_eq!(fv.invocation_cost, rv.invocation_cost);
-        assert_eq!(fv.snapstart_cost, rv.snapstart_cost);
-        assert_eq!(fv.provider_costs, rv.provider_costs);
-    }
+    assert!(fleet.invocations > 0);
+    assert_eq!(without_percentiles(fleet), without_percentiles(replay));
 }
 
 #[test]
@@ -255,13 +349,7 @@ fn zero_arrival_fixture_replays_to_explicit_zero_stats() {
     assert_eq!(trace.invocations(), 0, "every minute column is zero");
 
     let report = replay_trace(&platform, &trace, &ReplayOptions::default());
-    for f in &report.functions {
-        assert_eq!(f.invocations, 0);
-        for v in &f.variants {
-            assert_eq!(v.stats.invocations(), 0, "{}: zero-stat slot", f.name);
-            assert!(v.e2e_secs.is_empty(), "{}: no E2E samples", f.name);
-        }
-    }
+    assert_eq!((report.functions, report.invocations), (3, 0));
     for v in &report.variants {
         assert_eq!(v.invocations, 0);
         assert_eq!(v.cold_ratio(), 0.0);
@@ -270,7 +358,7 @@ fn zero_arrival_fixture_replays_to_explicit_zero_stats() {
             (0.0, 0.0, 0.0),
             "empty percentile inputs must yield explicit zeros"
         );
-        assert!(v.cold_ratio_cdf.is_empty());
+        assert_eq!(v.cold_ratio_deciles, [0.0; 10]);
         // Restore mode still bills the snapshot cache storage for the
         // window, so the share can be 1.0 — but never NaN.
         assert!((0.0..=1.0).contains(&v.snapstart_share));
@@ -291,7 +379,8 @@ fn golden_fixture_replay_metrics_are_sane() {
     let report = replay_trace(&platform, &trace, &ReplayOptions::default());
 
     assert_eq!(report.window_secs, trace.window_secs);
-    assert_eq!(report.functions.len(), trace.functions.len());
+    assert_eq!(report.functions, trace.functions.len());
+    assert_eq!(report.invocations, trace.invocations() as u64);
     assert_eq!(report.variants.len(), 4, "2 modes x 2 keep-alive settings");
     for v in &report.variants {
         assert_eq!(v.invocations, trace.invocations() as u64);
