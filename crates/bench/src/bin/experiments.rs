@@ -8,14 +8,10 @@
 //! where `<id>` is one of `fig1 table1 fig2 table2 fig8 fig9 table3 fig10
 //! fig11 fig12 fig13 fig14 table4`, the extension experiment `ext`
 //! (incremental re-trim, greedy-vs-ddmin, provisioned concurrency), the
-//! probe-setup micro-measurement `probe` (writes `BENCH_probe.json`), the
 //! trace-replay benchmark `replay` (writes `BENCH_replay.json`), the
 //! hazard-granularity comparison `hazard` (per-attribute pinning vs the
-//! blanket module fallback, writes `BENCH_hazard.json`), the bytecode-VM
-//! tier benchmark `vm` (per-oracle-run VM vs tree-walker wall clock plus
-//! inline-cache hit rates, writes `BENCH_vm.json`), the CI differential
-//! smoke `vm-smoke` (one corpus app trimmed under both engines must yield
-//! identical reports), the init-snapshot memoization benchmark `memo`
+//! blanket module fallback, writes `BENCH_hazard.json`), the init-snapshot
+//! memoization benchmark `memo`
 //! (per-probe init wall clock with snapshot replay vs live execution on
 //! the deep-import corpus slice, writes `BENCH_memo.json`), the CI
 //! memoization smoke `memo-smoke` (one deep-import app trimmed with the
@@ -42,13 +38,13 @@ use trim_core::{invoke_with_fallback, FallbackInstanceState};
 use trim_profiler::ScoringMethod;
 
 /// The experiments `all` runs, in order.
-const ALL: [&str; 20] = [
+const ALL: [&str; 18] = [
     "fig1", "table1", "fig2", "table2", "fig8", "fig9", "table3", "fig10", "fig11", "fig12",
-    "fig13", "fig14", "table4", "ext", "probe", "replay", "hazard", "vm", "memo", "slice",
+    "fig13", "fig14", "table4", "ext", "replay", "hazard", "memo", "slice",
 ];
 
 /// CI smokes, run only when named.
-const SMOKES: [&str; 3] = ["vm-smoke", "memo-smoke", "slice-smoke"];
+const SMOKES: [&str; 2] = ["memo-smoke", "slice-smoke"];
 
 const USAGE: &str = "usage: experiments [--jobs N] [all | <id>...]";
 
@@ -132,11 +128,8 @@ fn main() {
             "fig14" => fig14(&results),
             "table4" => table4(&results),
             "ext" => ext(),
-            "probe" => probe(),
             "replay" => replay_bench(jobs),
             "hazard" => hazard(jobs),
-            "vm" => vm_bench(),
-            "vm-smoke" => vm_smoke(),
             "memo" => memo_bench(),
             "memo-smoke" => memo_smoke(),
             "slice" => slice_bench(),
@@ -838,57 +831,6 @@ fn ext() {
 }
 
 // ---------------------------------------------------------------------------
-// Probe overhead: per-probe registry setup, snapshot-rebuild vs COW overlay.
-// ---------------------------------------------------------------------------
-fn probe() {
-    banner("Probe overhead — per-probe registry setup (snapshot rebuild vs COW overlay)");
-    println!(
-        "{:<18} {:>8} {:>16} {:>14} {:>9}",
-        "application", "modules", "snapshot ns", "overlay ns", "speedup"
-    );
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    for bench in trim_apps::corpus() {
-        let module = &bench.example_module;
-        let replacement = bench
-            .registry
-            .source(module)
-            .expect("example module present")
-            .to_string();
-        let cost = trim_bench::probe_cost::measure(&bench.registry, module, &replacement, 20);
-        println!(
-            "{:<18} {:>8} {:>16} {:>14} {:>8.1}x",
-            bench.name,
-            bench.registry.len(),
-            cost.snapshot_ns,
-            cost.overlay_ns,
-            cost.speedup()
-        );
-        speedups.push(cost.speedup());
-        rows.push(format!(
-            "    {{\"app\": \"{}\", \"modules\": {}, \"snapshot_rebuild_ns\": {}, \"cow_overlay_ns\": {}, \"speedup\": {:.2}}}",
-            bench.name,
-            bench.registry.len(),
-            cost.snapshot_ns,
-            cost.overlay_ns,
-            cost.speedup()
-        ));
-    }
-    let mean_speedup = mean(&speedups);
-    let min_speedup = speedups.iter().cloned().fold(f64::INFINITY, f64::min);
-    println!("mean speedup {mean_speedup:.1}x, min {min_speedup:.1}x (target: >=5x per probe)");
-    let json = format!(
-        "{{\n  \"bench\": \"probe_overhead\",\n  \"unit\": \"ns_per_probe_setup\",\n  \"apps\": [\n{}\n  ],\n  \"mean_speedup\": {:.2},\n  \"min_speedup\": {:.2}\n}}\n",
-        rows.join(",\n"),
-        mean_speedup,
-        min_speedup
-    );
-    let path = "BENCH_probe.json";
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path}");
-}
-
-// ---------------------------------------------------------------------------
 // Hazard granularity: per-attribute pinning vs blanket module fallback.
 // ---------------------------------------------------------------------------
 fn hazard(jobs: usize) {
@@ -1175,154 +1117,6 @@ fn burst_configs() -> Vec<BurstConfig> {
 }
 
 // ---------------------------------------------------------------------------
-// Bytecode VM tier: per-oracle-run wall clock vs the tree-walker.
-// ---------------------------------------------------------------------------
-
-/// Median wall-clock nanoseconds of one oracle run under each engine,
-/// returned as `(tree_ns, vm_ns)`. Samples are interleaved —
-/// tree, vm, tree, vm, … within one `LT_BENCH_BUDGET_MS` window — so CPU
-/// frequency drift hits both engines equally instead of biasing whichever
-/// was measured second. The per-run protocol matches the `interp` binary,
-/// so rows are comparable with `BENCH_interp.json`.
-fn measure_engines(bench: &trim_apps::BenchApp, budget: std::time::Duration) -> (u64, u64) {
-    use std::time::Instant;
-    let one_run = |engine| {
-        let t = Instant::now();
-        std::hint::black_box(trim_core::run_app_with(
-            &bench.registry,
-            &bench.app_source,
-            &bench.spec,
-            engine,
-        ))
-        .expect("corpus app runs");
-        t.elapsed().as_nanos() as u64
-    };
-    // Warm-up: populates the shared parse/resolve/bytecode slots.
-    one_run(trim_core::Engine::Tree);
-    one_run(trim_core::Engine::Vm);
-    let mut tree: Vec<u64> = Vec::new();
-    let mut vm: Vec<u64> = Vec::new();
-    let deadline = Instant::now() + budget;
-    while Instant::now() < deadline || tree.len() < 5 {
-        tree.push(one_run(trim_core::Engine::Tree));
-        vm.push(one_run(trim_core::Engine::Vm));
-        if tree.len() >= 500 {
-            break;
-        }
-    }
-    tree.sort_unstable();
-    vm.sort_unstable();
-    (tree[tree.len() / 2], vm[vm.len() / 2])
-}
-
-/// One instrumented VM oracle run: inline-cache `(hits, misses)` summed
-/// over live-handler and module-init lookups across every
-/// generation-checked attribute site. Snapshots are off here, so folding
-/// the two phases back together keeps the historical bench metric.
-fn ic_totals_for(bench: &trim_apps::BenchApp) -> (u64, u64) {
-    let mut it = pylite::Interpreter::new(bench.registry.clone());
-    it.engine = pylite::Engine::Vm;
-    it.enable_ic_stats();
-    it.exec_main(&bench.app_source)
-        .unwrap_or_else(|e| panic!("{} init failed: {e}", bench.name));
-    for case in &bench.spec.cases {
-        let event = trim_core::oracle::parse_literal(&case.event).expect("literal event");
-        let context = trim_core::oracle::parse_literal(&case.context).expect("literal context");
-        it.call_handler(&bench.spec.handler, event, context)
-            .unwrap_or_else(|e| panic!("{} handler failed: {e}", bench.name));
-    }
-    let (live_h, live_m) = it.ic_totals();
-    let (init_h, init_m) = it.ic_init_totals();
-    (live_h + init_h, live_m + init_m)
-}
-
-fn vm_bench() {
-    banner("VM tier — wall-clock per oracle run, bytecode VM vs tree-walker");
-    let budget_ms = std::env::var("LT_BENCH_BUDGET_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300u64);
-    let budget = std::time::Duration::from_millis(budget_ms);
-    println!(
-        "{:<18} {:>12} {:>12} {:>8} {:>12} {:>8}",
-        "application", "tree ns", "vm ns", "speedup", "ic hit/miss", "hit%"
-    );
-    let mut rows = Vec::new();
-    let mut log_sum = 0.0f64;
-    let mut min_speedup = f64::INFINITY;
-    let corpus = trim_apps::corpus();
-    for bench in &corpus {
-        let (tree_ns, vm_ns) = measure_engines(bench, budget);
-        let speedup = tree_ns as f64 / vm_ns as f64;
-        log_sum += speedup.ln();
-        min_speedup = min_speedup.min(speedup);
-        let (hits, misses) = ic_totals_for(bench);
-        let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-        println!(
-            "{:<18} {:>12} {:>12} {:>7.2}x {:>6}/{:<5} {:>7.1}%",
-            bench.name,
-            tree_ns,
-            vm_ns,
-            speedup,
-            hits,
-            misses,
-            hit_rate * 100.0
-        );
-        rows.push(format!(
-            "    {{\"app\": \"{}\", \"tree_ns\": {tree_ns}, \"vm_ns\": {vm_ns}, \
-             \"speedup\": {speedup:.2}, \"ic_hits\": {hits}, \"ic_misses\": {misses}, \
-             \"ic_hit_rate\": {hit_rate:.4}}}",
-            bench.name
-        ));
-    }
-    let geomean = (log_sum / corpus.len() as f64).exp();
-    let json = format!(
-        "{{\n  \"bench\": \"vm_tier\",\n  \"unit\": \"ns_per_oracle_run\",\n  \
-         \"baseline\": \"tree-walker (the BENCH_interp.json `after` build)\",\n  \"apps\": [\n{}\n  ],\n  \
-         \"geomean_speedup\": {geomean:.2},\n  \"min_speedup\": {min_speedup:.2}\n}}\n",
-        rows.join(",\n")
-    );
-    println!("geomean speedup {geomean:.2}x, min {min_speedup:.2}x (target: >=1.5x geomean)");
-    let path = "BENCH_vm.json";
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path}");
-}
-
-/// CI differential smoke: one corpus app trimmed under both execution
-/// tiers must produce identical reports (modules, costs, fallbacks — the
-/// whole [`trim_core::TrimReport`]).
-fn vm_smoke() {
-    banner("VM smoke — markdown trimmed under both engines must agree");
-    let bench = trim_apps::app("markdown").expect("markdown in corpus");
-    let run = |engine| {
-        trim_core::trim_app(
-            &bench.registry,
-            &bench.app_source,
-            &bench.spec,
-            &trim_core::DebloatOptions {
-                engine,
-                ..trim_core::DebloatOptions::default()
-            },
-        )
-        .expect("trim succeeds")
-    };
-    let tree = run(trim_core::Engine::Tree);
-    let vm = run(trim_core::Engine::Vm);
-    assert_eq!(
-        vm, tree,
-        "VM trim report diverged from the tree-walker reference"
-    );
-    println!(
-        "engines agree: {} modules, {} attrs removed, {} oracle probes, init {:.9}->{:.9}s",
-        vm.modules.len(),
-        vm.attrs_removed(),
-        vm.oracle_invocations,
-        vm.before.init_secs,
-        vm.after.init_secs
-    );
-}
-
-// ---------------------------------------------------------------------------
 // Init-snapshot memoization: per-probe init wall clock, replay vs live.
 // ---------------------------------------------------------------------------
 
@@ -1333,7 +1127,6 @@ fn vm_smoke() {
 fn memo_init_run(bench: &trim_apps::BenchApp, snapshots: bool) -> u64 {
     use std::time::Instant;
     let mut it = pylite::Interpreter::new(bench.registry.clone());
-    it.engine = pylite::Engine::Vm;
     if snapshots {
         it.enable_init_snapshots();
     }
@@ -1347,7 +1140,6 @@ fn memo_init_run(bench: &trim_apps::BenchApp, snapshots: bool) -> u64 {
 /// size, used to select the deep-import slice of the corpus.
 fn init_modules_loaded(bench: &trim_apps::BenchApp) -> usize {
     let mut it = pylite::Interpreter::new(bench.registry.clone());
-    it.engine = pylite::Engine::Vm;
     it.exec_main(&bench.app_source)
         .unwrap_or_else(|e| panic!("{} init failed: {e}", bench.name));
     // `loaded_modules` includes `__main__`; the cone is everything else.

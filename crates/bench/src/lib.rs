@@ -8,4 +8,3 @@
 
 pub mod harness;
 pub mod micro;
-pub mod probe_cost;

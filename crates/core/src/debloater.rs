@@ -70,10 +70,8 @@ pub struct DebloatOptions {
     /// Hazard routing: per-attribute pinning (default) or the blanket
     /// whole-module fallback baseline.
     pub hazards: HazardMode,
-    /// Execution tier for oracle runs: the bytecode VM (default) or the
-    /// tree-walking reference interpreter. Both are byte-identical in
-    /// behavior and metering; `Tree` exists as the differential baseline
-    /// and an escape hatch.
+    /// Execution engine for oracle runs. The bytecode VM is the only one;
+    /// nothing reads this field.
     pub engine: Engine,
     /// Init-snapshot memoization (default: on): oracle runs record module
     /// initializations into the registry family's shared
@@ -102,7 +100,6 @@ impl PartialEq for DebloatOptions {
             && self.analysis == other.analysis
             && self.jobs == other.jobs
             && self.hazards == other.hazards
-            && self.engine == other.engine
             && self.init_snapshots == other.init_snapshots
             && self.slice_init == other.slice_init
             && match (&self.probe_cache, &other.probe_cache) {
@@ -133,35 +130,6 @@ impl Default for DebloatOptions {
             engine: Engine::default(),
             init_snapshots: true,
             slice_init: true,
-        }
-    }
-}
-
-/// The valid `--engine` values, in documentation order.
-pub const ENGINE_TIERS: [(&str, &str); 2] = [
-    ("vm", "bytecode VM (default)"),
-    ("tree", "tree-walking reference interpreter"),
-];
-
-/// Parse a `--engine` CLI value. Accepts `vm` (the bytecode tier, default)
-/// and `tree` (the tree-walking reference interpreter).
-///
-/// # Errors
-///
-/// [`TrimError::Config`] for any other value.
-pub fn parse_engine(s: &str) -> Result<Engine, TrimError> {
-    match s {
-        "vm" => Ok(Engine::Vm),
-        "tree" => Ok(Engine::Tree),
-        other => {
-            let tiers = ENGINE_TIERS
-                .iter()
-                .map(|(name, what)| format!("`{name}` — {what}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            Err(TrimError::Config(format!(
-                "unknown engine `{other}` (expected vm|tree): valid tiers are {tiers}"
-            )))
         }
     }
 }
@@ -522,56 +490,5 @@ mod tests {
         assert!(report.kept.contains(&"Linear".to_owned()));
         let after = run_app(&work, APP, &spec()).unwrap();
         assert!(after.behavior_eq(&expected));
-    }
-
-    #[test]
-    fn parse_engine_accepts_both_tiers() {
-        assert_eq!(parse_engine("vm").unwrap(), Engine::Vm);
-        assert_eq!(parse_engine("tree").unwrap(), Engine::Tree);
-    }
-
-    #[test]
-    fn parse_engine_rejects_unknown_values() {
-        for bad in ["", "VM", "jit", "treewalker"] {
-            match parse_engine(bad) {
-                Err(TrimError::Config(msg)) => {
-                    assert!(msg.contains(&format!("unknown engine `{bad}`")), "{msg}");
-                    assert!(msg.contains("expected vm|tree"), "{msg}");
-                }
-                other => panic!("expected Config error for {bad:?}, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn tree_engine_probes_identically() {
-        let mut vm_work = torch_registry();
-        let expected = run_app(&vm_work, APP, &spec()).unwrap();
-        let vm_report = debloat_module(
-            &mut vm_work,
-            APP,
-            &spec(),
-            &expected,
-            "torch.nn",
-            &BTreeSet::new(),
-            &DebloatOptions::default(),
-        )
-        .unwrap();
-        let mut tree_work = torch_registry();
-        let tree_report = debloat_module(
-            &mut tree_work,
-            APP,
-            &spec(),
-            &expected,
-            "torch.nn",
-            &BTreeSet::new(),
-            &DebloatOptions {
-                engine: Engine::Tree,
-                ..DebloatOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(vm_report, tree_report);
-        assert_eq!(vm_work.fingerprint(), tree_work.fingerprint());
     }
 }

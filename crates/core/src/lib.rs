@@ -61,17 +61,15 @@ use std::fmt;
 
 pub use attributes::{is_magic, module_attributes};
 pub use candidate::{Candidate, ModuleIndex};
-pub use debloater::{
-    debloat_module, parse_engine, Algorithm, DebloatOptions, HazardMode, ModuleReport, ENGINE_TIERS,
-};
+pub use debloater::{debloat_module, Algorithm, DebloatOptions, HazardMode, ModuleReport};
 pub use deployment::{package, wrapper_source, DeploymentPackage};
 pub use fallback::{
     invoke_with_fallback, FallbackCost, FallbackInstanceState, FallbackOutcome, FALLBACK_SETUP_SECS,
 };
 pub use incremental::{retrim_with_log, IncrementalReport, TrimLog};
 pub use oracle::{
-    oracle_passes, run_app, run_app_measured, run_app_measured_opts, run_app_measured_with,
-    run_app_opts, run_app_with, Execution, OracleSpec, TestCase,
+    oracle_passes, run_app, run_app_measured, run_app_measured_opts, run_app_opts, Execution,
+    OracleSpec, TestCase,
 };
 pub use pipeline::{trim_app, trim_corpus_parallel, CorpusJob, TrimReport};
 pub use probe_cache::{app_fingerprint, ProbeCache, ProbeKey};
@@ -89,8 +87,7 @@ pub enum TrimError {
     /// The unmodified application failed its own oracle run — DD requires
     /// the original program to satisfy the oracle.
     Baseline(pylite::PyErr),
-    /// The requested options are unsupported (e.g. zero analysis jobs or
-    /// an unknown engine name).
+    /// The requested options are unsupported (e.g. zero analysis jobs).
     Config(String),
 }
 

@@ -147,23 +147,9 @@ pub fn run_app(
     run_app_measured(registry, app_source, spec).0
 }
 
-/// Like [`run_app`], but on an explicit execution tier — the bytecode VM
-/// (the default) or the tree-walking reference interpreter.
-///
-/// # Errors
-///
-/// Any pylite exception raised during initialization or by the handler.
-pub fn run_app_with(
-    registry: &Registry,
-    app_source: &str,
-    spec: &OracleSpec,
-    engine: Engine,
-) -> Result<Execution, PyErr> {
-    run_app_measured_with(registry, app_source, spec, engine).0
-}
-
-/// Like [`run_app_with`], with the init-snapshot switch of
-/// [`run_app_measured_opts`].
+/// Like [`run_app`], with the init-snapshot switch of
+/// [`run_app_measured_opts`]. `engine` is ignored: the bytecode VM is the
+/// only engine.
 ///
 /// # Errors
 ///
@@ -186,37 +172,25 @@ pub fn run_app_measured(
     app_source: &str,
     spec: &OracleSpec,
 ) -> (Result<Execution, PyErr>, f64) {
-    run_app_measured_with(registry, app_source, spec, Engine::default())
+    run_app_measured_opts(registry, app_source, spec, Engine::Vm, false)
 }
 
-/// [`run_app_measured`] on an explicit execution tier. Both engines meter
-/// virtual time identically (the bytecode differential pins this), so the
-/// returned measurement is engine-independent.
-pub fn run_app_measured_with(
-    registry: &Registry,
-    app_source: &str,
-    spec: &OracleSpec,
-    engine: Engine,
-) -> (Result<Execution, PyErr>, f64) {
-    run_app_measured_opts(registry, app_source, spec, engine, false)
-}
-
-/// [`run_app_measured_with`] with an init-snapshot switch: when
+/// [`run_app_measured`] with an init-snapshot switch: when
 /// `init_snapshots` is true, module initializations are recorded into — and
 /// replayed from — the registry family's shared
 /// [`pylite::SnapshotStore`], so repeated probes over the same import cone
 /// skip re-executing module bodies. Replay is byte-identical to live
 /// execution (the differential suites pin this), so the returned
-/// [`Execution`] and measurement are unaffected by the switch.
+/// [`Execution`] and measurement are unaffected by the switch. `engine` is
+/// ignored: the bytecode VM is the only engine.
 pub fn run_app_measured_opts(
     registry: &Registry,
     app_source: &str,
     spec: &OracleSpec,
-    engine: Engine,
+    _engine: Engine,
     init_snapshots: bool,
 ) -> (Result<Execution, PyErr>, f64) {
     let mut interp = Interpreter::new(registry.clone());
-    interp.engine = engine;
     if init_snapshots {
         interp.enable_init_snapshots();
     }

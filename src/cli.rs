@@ -293,17 +293,6 @@ fn binds_at_top_level(body: &[pylite::Stmt], name: &str) -> bool {
     })
 }
 
-/// Resolve an `--engine` string to a [`pylite::Engine`]. Thin wrapper over
-/// [`trim_core::parse_engine`] — the library owns the accepted tiers and
-/// the error message, so the CLI cannot drift from it.
-///
-/// # Errors
-///
-/// A message enumerating the valid tiers.
-pub fn parse_engine(s: &str) -> Result<pylite::Engine, String> {
-    trim_core::parse_engine(s).map_err(|e| e.to_string())
-}
-
 /// Resolve a `--scoring` string to a [`trim_profiler::ScoringMethod`].
 ///
 /// # Errors

@@ -10,8 +10,7 @@
 //! ```
 
 use lambda_trim::cli::{
-    check_handler, load_registry, parse_engine, parse_oracle_file, parse_scoring, write_registry,
-    Args,
+    check_handler, load_registry, parse_oracle_file, parse_scoring, write_registry, Args,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -47,7 +46,6 @@ trim:
     --scoring <M>       combined|time|memory|random      [default: combined]
     --jobs <N>          parallel static-analysis workers  [default: 1]
     --algorithm <A>     ddmin|greedy                      [default: ddmin]
-    --engine <E>        oracle execution tier: vm|tree    [default: vm]
     --no-slice          skip statement-level selective-init slicing of kept
                         modules (on by default; every slice is oracle-verified)
     --wrap              append the fallback wrapper to the app output
@@ -131,7 +129,7 @@ fn load_inputs_with_handler(args: &Args) -> Result<(pylite::Registry, String, St
 }
 
 /// The value options [`debloat_options`] reads; it also reads `--no-slice`.
-const DEBLOAT_OPTIONS: &[&str] = &["k", "scoring", "jobs", "algorithm", "engine"];
+const DEBLOAT_OPTIONS: &[&str] = &["k", "scoring", "jobs", "algorithm"];
 
 fn debloat_options(args: &Args) -> Result<DebloatOptions, String> {
     let mut options = DebloatOptions::default();
@@ -152,9 +150,6 @@ fn debloat_options(args: &Args) -> Result<DebloatOptions, String> {
                 ))
             }
         };
-    }
-    if let Some(e) = args.get("engine") {
-        options.engine = parse_engine(e)?;
     }
     if let Some(v) = args.get("no-slice") {
         return Err(format!("--no-slice takes no value (got `{v}`)"));
@@ -226,7 +221,7 @@ fn cmd_trim(args: &Args) -> Result<(), String> {
 /// One instrumented VM pass over the trimmed application — init plus every
 /// oracle case — rendered as the per-site inline-cache section that
 /// `trim --ic-stats` appends to REPORT.txt. Sites are the resolved-IR
-/// attribute-access ids shared by both engines; rows sort by lookup volume
+/// attribute-access ids; rows sort by lookup volume
 /// so the hottest `mod.attr` sites lead. Live-handler and module-init
 /// lookups report separately: replayed init snapshots skip the caches
 /// entirely, so a combined total would swing with `init_snapshots`.
@@ -236,7 +231,6 @@ fn ic_stats_section(
     spec: &trim_core::OracleSpec,
 ) -> Result<String, String> {
     let mut interp = pylite::Interpreter::new(trimmed.clone());
-    interp.engine = pylite::Engine::Vm;
     interp.enable_ic_stats();
     interp
         .exec_main(app_source)
@@ -693,27 +687,6 @@ mod tests {
             json_string("line\nbreak\t\u{1}"),
             "\"line\\nbreak\\t\\u0001\""
         );
-    }
-
-    #[test]
-    fn engine_flag_is_parsed_and_validated() {
-        assert_eq!(
-            debloat_options(&args(&[])).unwrap().engine,
-            trim_core::Engine::Vm
-        );
-        assert_eq!(
-            debloat_options(&args(&["--engine", "vm"])).unwrap().engine,
-            trim_core::Engine::Vm
-        );
-        assert_eq!(
-            debloat_options(&args(&["--engine", "tree"]))
-                .unwrap()
-                .engine,
-            trim_core::Engine::Tree
-        );
-        let err = debloat_options(&args(&["--engine", "jit"])).expect_err("bad engine rejected");
-        assert!(err.contains("unknown engine `jit`"), "{err}");
-        assert!(err.contains("expected vm|tree"), "{err}");
     }
 
     #[test]

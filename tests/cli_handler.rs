@@ -1,7 +1,8 @@
 //! The `lambda-trim` commands that start from the handler — `analyze`,
 //! `trim` and `run` — refuse a `--handler` the app does not bind at its
 //! top level, instead of analyzing an empty call graph or failing deep in
-//! the baseline run.
+//! the baseline run. And `run` ends every handler in a result or a typed
+//! error, never in a panic or an aborted allocation.
 
 use std::fs;
 use std::path::PathBuf;
@@ -73,6 +74,45 @@ fn bound_handler_is_accepted() {
             "{command:?}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn integer_and_repetition_edge_cases_end_in_a_result_or_a_typed_error() {
+    let dir = fixture("edges");
+    // (handler expression, what `run` prints: the result or the error)
+    let cases = [
+        ("(-9223372036854775807 - 1) // -1", "=> -9223372036854775808"),
+        ("(-9223372036854775807 - 1) % -1", "=> 0"),
+        ("3 ** 50", "=> 6048575297968530377"),
+        ("-(-9223372036854775807 - 1)", "=> -9223372036854775808"),
+        ("abs(-9223372036854775807 - 1)", "=> -9223372036854775808"),
+        (
+            "range(9223372036854775800, 9223372036854775807, 2)",
+            "=> [9223372036854775800, 9223372036854775802, 9223372036854775804, 9223372036854775806]",
+        ),
+        ("[0] * 9223372036854775807", "ResourceExhausted"),
+        ("'ab' * 4611686018427387904", "ResourceExhausted"),
+        ("[0] * 100000000000", "ResourceExhausted"),
+        ("'ab' * 1000000000000", "ResourceExhausted"),
+    ];
+    for (expr, expected) in cases {
+        fs::write(
+            dir.join("app.py"),
+            format!("def handler(event, context):\n    return {expr}\n"),
+        )
+        .unwrap();
+        let out = lambda_trim(&dir, &["run", "--event", "None"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        if expected.starts_with("=>") {
+            assert_eq!(out.status.code(), Some(0), "{expr}: {stderr}");
+            assert_eq!(stdout.trim_end(), expected, "{expr}");
+        } else {
+            assert_eq!(out.status.code(), Some(1), "{expr}: {stderr}");
+            assert!(stderr.contains(expected), "{expr}: {stderr}");
+        }
     }
     let _ = fs::remove_dir_all(&dir);
 }

@@ -71,6 +71,8 @@ fn bad_options_fail_every_command_before_any_work() {
         ("trim", "no-slcie", "", "unknown option"),
         ("trim", "k", "", "needs a value"),
         ("trim", "wrap", "yes", "takes no value"),
+        ("trim", "engine", "vm", "unknown option"),
+        ("trim", "engine", "tree", "unknown option"),
         ("profile", "k", "", "needs a value"),
         ("profile", "scorign", "time", "unknown option"),
         ("profile", "jobs", "2", "unknown option"),
@@ -138,7 +140,7 @@ fn every_option_a_command_takes_is_accepted() {
         with(
             "trim",
             "--handler handler --k 5 --scoring time --jobs 2 --algorithm greedy \
-             --engine tree --no-slice --wrap --ic-stats",
+             --no-slice --wrap --ic-stats",
         ),
         with("profile", "--k 3 --scoring memory"),
         with("analyze", "--jobs 2 --hazards --json"),

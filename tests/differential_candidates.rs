@@ -9,8 +9,7 @@
 //! * `select` returns the source `unparse(rewrite_module(..))` returns;
 //! * the pre-resolved overlay has the plain overlay's fingerprint;
 //! * running the app over the two overlays gives equal `Execution`s,
-//!   timings and memory included, on both engines with init snapshots on
-//!   and off.
+//!   timings and memory included, with init snapshots on and off.
 //!
 //! `select_stmts` is held to the same contract against `sliced_program`.
 
@@ -29,13 +28,8 @@ use trim_rng::Rng;
 /// Random keep sets drawn per DD target.
 const KEEP_SETS: usize = 4;
 
-/// Every engine × init-snapshot combination a probe can run under.
-const MODES: [(Engine, bool); 4] = [
-    (Engine::Vm, true),
-    (Engine::Vm, false),
-    (Engine::Tree, true),
-    (Engine::Tree, false),
-];
+/// Both init-snapshot settings a probe can run under.
+const SNAPSHOTS: [bool; 2] = [true, false];
 
 /// The modules `trim_app` runs DD on under the default options: the
 /// profiler's top K that the registry holds.
@@ -90,14 +84,13 @@ impl<'a> Subject<'a> {
     }
 
     /// Assert that the selected candidate and the plain source install as
-    /// the same module and run the app identically in every mode of
-    /// `modes`. Returns whether the app passed its oracle cases.
+    /// the same module and run the app identically with init snapshots on
+    /// and off. Returns whether the app passed its oracle cases.
     fn assert_same(
         &self,
         module: &str,
         selected: Candidate,
         plain_source: String,
-        modes: &[(Engine, bool)],
         what: &str,
     ) -> bool {
         let at = format!("{}/{module} {what}", self.name);
@@ -108,12 +101,12 @@ impl<'a> Subject<'a> {
         let plain = self.registry.with_module(module, plain_source);
         assert_eq!(pre.fingerprint(), plain.fingerprint(), "{at}");
         let mut passed = true;
-        for &(engine, snapshots) in modes {
+        for snapshots in SNAPSHOTS {
             let run = |r: &Registry| {
-                run_app_measured_opts(r, self.app_source, self.spec, engine, snapshots)
+                run_app_measured_opts(r, self.app_source, self.spec, Engine::Vm, snapshots)
             };
             let ours = run(&pre);
-            assert_eq!(ours, run(&plain), "{at}: {engine:?}, snapshots {snapshots}");
+            assert_eq!(ours, run(&plain), "{at}: snapshots {snapshots}");
             passed &= ours.0.is_ok();
         }
         passed
@@ -145,8 +138,7 @@ fn selected_candidates_match_rewritten_sources_on_corpus_targets() {
                     .filter(|l| !lists.contains(*l))
                     .count();
                 let selected = index.select(&index.keep_mask(&keep));
-                passed +=
-                    usize::from(subject.assert_same(&module, selected, plain, &MODES, "select"));
+                passed += usize::from(subject.assert_same(&module, selected, plain, "select"));
             }
         }
     }
@@ -169,7 +161,7 @@ fn selected_statements_match_sliced_programs_on_corpus_targets() {
                 .collect();
             let plain = unparse(&sliced_program(&program, &kept));
             let selected = index.select_stmts(&kept);
-            subject.assert_same(&module, selected, plain, &MODES, "select_stmts");
+            subject.assert_same(&module, selected, plain, "select_stmts");
         }
     }
 }
@@ -213,13 +205,13 @@ fn edge_keep_sets_match_in_every_mode() {
     ] {
         let plain = unparse(&rewrite_module(&program, &keep));
         let selected = index.select(&index.keep_mask(&keep));
-        subject.assert_same("lib", selected, plain, &MODES, &format!("{keep:?}"));
+        subject.assert_same("lib", selected, plain, &format!("{keep:?}"));
     }
     let all: BTreeSet<String> = index.names().iter().cloned().collect();
     let plain = unparse(&rewrite_module(&program, &all));
     let selected = index.select(&index.keep_mask(&all));
     assert!(
-        subject.assert_same("lib", selected, plain, &MODES, "full keep set"),
+        subject.assert_same("lib", selected, plain, "full keep set"),
         "the untrimmed app runs"
     );
     let cut = index.select(&index.keep_mask(&named(&["d", "z"])));
@@ -235,5 +227,5 @@ fn edge_keep_sets_match_in_every_mode() {
         &registry.parse_module("bare").unwrap(),
         &named(&[]),
     ));
-    subject.assert_same("bare", empty, plain, &MODES, "empty keep set");
+    subject.assert_same("bare", empty, plain, "empty keep set");
 }

@@ -7,30 +7,24 @@
 //! unobservable except in wall-clock time: stdout, external calls, module
 //! namespaces, observed accesses, the virtual meter, and therefore every
 //! trim decision must be identical with the cache on or off. This test
-//! runs the full 21-app corpus live next to captured-then-replayed runs
-//! under both engines, and asserts mini-corpus trim reports agree between
-//! replay-on and replay-off across `--jobs` (trims over the full corpus
-//! are minutes-long in debug builds; see `differential_vm` for the same
-//! trade-off).
+//! runs the full 21-app corpus live next to captured-then-replayed runs,
+//! and asserts mini-corpus trim reports agree between replay-on and
+//! replay-off across `--jobs`. Full-corpus trims at default options
+//! (snapshots on) are pinned by `tests/golden/corpus_trims.txt`.
 
-use lambda_trim::pylite::{py_repr, Engine, Interpreter};
+use lambda_trim::pylite::{py_repr, Interpreter};
 use lambda_trim::trim_core::oracle::parse_literal;
 use lambda_trim::DebloatOptions;
 use std::fmt::Write as _;
 
-/// Render one app's full observable surface under `engine`, with
-/// init-snapshot recording/replay enabled iff `snapshots`: handler
+/// Render one app's full observable surface, with init-snapshot
+/// recording/replay enabled iff `snapshots`: handler
 /// results, stdout, external calls, error (if any), the `__main__` module
 /// namespace, every loaded library module's namespace (the exact objects
 /// replay rebuilds), observed module-attribute accesses, and the meter.
-fn capture_behavior(
-    app: &lambda_trim::trim_apps::BenchApp,
-    engine: Engine,
-    snapshots: bool,
-) -> String {
+fn capture_behavior(app: &lambda_trim::trim_apps::BenchApp, snapshots: bool) -> String {
     let mut out = String::new();
     let mut it = Interpreter::new(app.registry.clone());
-    it.engine = engine;
     if snapshots {
         it.enable_init_snapshots();
     }
@@ -96,17 +90,15 @@ fn capture_behavior(
     out
 }
 
-/// Render one app's trim outcome under `engine` with `jobs` analysis
-/// workers and the snapshot cache on or off.
+/// Render one app's trim outcome with `jobs` analysis workers and the
+/// snapshot cache on or off.
 fn capture_trim(
     app: &lambda_trim::trim_apps::BenchApp,
-    engine: Engine,
     jobs: usize,
     init_snapshots: bool,
 ) -> String {
     let mut out = String::new();
     let options = DebloatOptions {
-        engine,
         jobs,
         init_snapshots,
         ..DebloatOptions::default()
@@ -139,33 +131,31 @@ fn capture_trim(
 #[test]
 fn replay_matches_live_on_full_corpus_behavior() {
     for app in lambda_trim::trim_apps::corpus() {
-        for engine in [Engine::Vm, Engine::Tree] {
-            let live = capture_behavior(&app, engine, false);
-            // First snapshot run records, second replays from the store.
-            let captured = capture_behavior(&app, engine, true);
-            let hits_before = app.registry.snapshot_store().stats().hits;
-            let replayed = capture_behavior(&app, engine, true);
-            let hits_after = app.registry.snapshot_store().stats().hits;
-            assert_eq!(
-                captured, live,
-                "{} ({engine:?}): capture run diverged from live",
+        let live = capture_behavior(&app, false);
+        // First snapshot run records, second replays from the store.
+        let captured = capture_behavior(&app, true);
+        let hits_before = app.registry.snapshot_store().stats().hits;
+        let replayed = capture_behavior(&app, true);
+        let hits_after = app.registry.snapshot_store().stats().hits;
+        assert_eq!(
+            captured, live,
+            "{}: capture run diverged from live",
+            app.name
+        );
+        assert_eq!(
+            replayed, live,
+            "{}: replay run diverged from live",
+            app.name
+        );
+        // Guard against a vacuous pass: apps with registry imports must
+        // actually have replayed something on the second run.
+        if !app.registry.module_names().is_empty() && hits_after == hits_before {
+            let stats = app.registry.snapshot_store().stats();
+            assert!(
+                stats.ineligible > 0 || stats.captures == 0,
+                "{}: no replay hits yet nothing was ineligible ({stats:?})",
                 app.name
             );
-            assert_eq!(
-                replayed, live,
-                "{} ({engine:?}): replay run diverged from live",
-                app.name
-            );
-            // Guard against a vacuous pass: apps with registry imports
-            // must actually have replayed something on the second run.
-            if !app.registry.module_names().is_empty() && hits_after == hits_before {
-                let stats = app.registry.snapshot_store().stats();
-                assert!(
-                    stats.ineligible > 0 || stats.captures == 0,
-                    "{} ({engine:?}): no replay hits yet nothing was ineligible ({stats:?})",
-                    app.name
-                );
-            }
         }
     }
 }
@@ -173,16 +163,14 @@ fn replay_matches_live_on_full_corpus_behavior() {
 #[test]
 fn replay_matches_disabled_on_trim_reports_across_engines_and_jobs() {
     for app in lambda_trim::trim_apps::mini_corpus() {
-        for engine in [Engine::Vm, Engine::Tree] {
-            let off = capture_trim(&app, engine, 1, false);
-            for jobs in [1, 2, 8] {
-                let on = capture_trim(&app, engine, jobs, true);
-                assert_eq!(
-                    on, off,
-                    "{} ({engine:?}, jobs={jobs}): snapshot replay changed the trim report",
-                    app.name
-                );
-            }
+        let off = capture_trim(&app, 1, false);
+        for jobs in [1, 2, 8] {
+            let on = capture_trim(&app, jobs, true);
+            assert_eq!(
+                on, off,
+                "{} (jobs={jobs}): snapshot replay changed the trim report",
+                app.name
+            );
         }
     }
 }

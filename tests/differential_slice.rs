@@ -7,11 +7,11 @@
 //! results, stdout, external calls, and the values of every kept
 //! attribute must be byte-identical, and trim decisions (kept/removed
 //! attribute sets) must not depend on whether slicing runs. This test
-//! slices every module of the full 21-app corpus under both engines, runs
-//! mini-corpus trims across `--engine tree|vm` and `--jobs` ∈ {1, 2, 8},
-//! and property-tests the static slice on randomized init bodies.
+//! slices every module of the full 21-app corpus, runs mini-corpus trims
+//! across `--jobs` ∈ {1, 2, 8}, and property-tests the static slice on
+//! randomized init bodies.
 
-use lambda_trim::pylite::{py_repr, Engine, Interpreter, Registry};
+use lambda_trim::pylite::{py_repr, Interpreter, Registry};
 use lambda_trim::trim_core::oracle::{parse_literal, run_app};
 use lambda_trim::trim_core::{module_attributes, slice_modules};
 use lambda_trim::DebloatOptions;
@@ -23,14 +23,9 @@ use std::fmt::Write as _;
 /// whole-namespace comparison would be wrong here: a dropped `for` loop
 /// legitimately removes its (non-attribute) loop variable from the module
 /// namespace, so only kept-attribute bindings are compared.
-fn capture_surface(
-    registry: &Registry,
-    app: &lambda_trim::trim_apps::BenchApp,
-    engine: Engine,
-) -> String {
+fn capture_surface(registry: &Registry, app: &lambda_trim::trim_apps::BenchApp) -> String {
     let mut out = String::new();
     let mut it = Interpreter::new(registry.clone());
-    it.engine = engine;
     let mut error: Option<String> = None;
     match it.exec_main(&app.app_source) {
         Ok(_) => {
@@ -79,45 +74,39 @@ fn capture_surface(
 fn sliced_modules_match_unsliced_on_full_corpus() {
     let mut total_removed = 0usize;
     for app in lambda_trim::trim_apps::corpus() {
-        for engine in [Engine::Vm, Engine::Tree] {
-            let options = DebloatOptions {
-                engine,
-                ..DebloatOptions::default()
-            };
-            let expected = match run_app(&app.registry, &app.app_source, &app.spec) {
-                Ok(e) => e,
-                // Apps whose baseline errors have nothing to slice against.
-                Err(_) => continue,
-            };
-            let unsliced = capture_surface(&app.registry, &app, engine);
-            let mut work = app.registry.clone();
-            let candidates = work.module_names();
-            let reports = slice_modules(
-                &mut work,
-                &app.app_source,
-                &app.spec,
-                &expected,
-                &candidates,
-                &BTreeSet::new(),
-                &options,
-            )
-            .unwrap_or_else(|e| panic!("{} ({engine:?}): {e}", app.name));
-            total_removed += reports.iter().map(|r| r.stmts_removed()).sum::<usize>();
-            for r in &reports {
-                assert!(
-                    r.stmts_after <= r.stmts_before,
-                    "{}/{}: slice grew",
-                    app.name,
-                    r.module
-                );
-            }
-            let sliced = capture_surface(&work, &app, engine);
-            assert_eq!(
-                sliced, unsliced,
-                "{} ({engine:?}): slicing changed the observable surface",
-                app.name
+        let expected = match run_app(&app.registry, &app.app_source, &app.spec) {
+            Ok(e) => e,
+            // Apps whose baseline errors have nothing to slice against.
+            Err(_) => continue,
+        };
+        let unsliced = capture_surface(&app.registry, &app);
+        let mut work = app.registry.clone();
+        let candidates = work.module_names();
+        let reports = slice_modules(
+            &mut work,
+            &app.app_source,
+            &app.spec,
+            &expected,
+            &candidates,
+            &BTreeSet::new(),
+            &DebloatOptions::default(),
+        )
+        .unwrap_or_else(|e| panic!("{}: {e}", app.name));
+        total_removed += reports.iter().map(|r| r.stmts_removed()).sum::<usize>();
+        for r in &reports {
+            assert!(
+                r.stmts_after <= r.stmts_before,
+                "{}/{}: slice grew",
+                app.name,
+                r.module
             );
         }
+        let sliced = capture_surface(&work, &app);
+        assert_eq!(
+            sliced, unsliced,
+            "{}: slicing changed the observable surface",
+            app.name
+        );
     }
     assert!(
         total_removed > 0,
@@ -125,16 +114,14 @@ fn sliced_modules_match_unsliced_on_full_corpus() {
     );
 }
 
-/// Render a trim's DD outcome (engine/jobs/slice-invariant) and its
-/// slice outcome (identical across the slice-on grid).
+/// Render a trim's DD outcome (jobs/slice-invariant) and its slice
+/// outcome (identical across the slice-on grid).
 fn capture_trim(
     app: &lambda_trim::trim_apps::BenchApp,
-    engine: Engine,
     jobs: usize,
     slice_init: bool,
 ) -> (String, String, f64) {
     let options = DebloatOptions {
-        engine,
         jobs,
         slice_init,
         ..DebloatOptions::default()
@@ -177,30 +164,28 @@ fn capture_trim(
 #[test]
 fn slice_on_trims_match_slice_off_dd_results_across_engines_and_jobs() {
     for app in lambda_trim::trim_apps::mini_corpus() {
-        let (dd_off, _, init_off) = capture_trim(&app, Engine::Vm, 1, false);
+        let (dd_off, _, init_off) = capture_trim(&app, 1, false);
         let mut slice_grid: Option<String> = None;
-        for engine in [Engine::Vm, Engine::Tree] {
-            for jobs in [1usize, 2, 8] {
-                let (dd_on, slice_on, init_on) = capture_trim(&app, engine, jobs, true);
-                assert_eq!(
-                    dd_on, dd_off,
-                    "{} ({engine:?}, jobs={jobs}): slicing changed DD results",
+        for jobs in [1usize, 2, 8] {
+            let (dd_on, slice_on, init_on) = capture_trim(&app, jobs, true);
+            assert_eq!(
+                dd_on, dd_off,
+                "{} (jobs={jobs}): slicing changed DD results",
+                app.name
+            );
+            assert!(
+                init_on <= init_off,
+                "{} (jobs={jobs}): slicing must never cost init time \
+                 ({init_on} vs {init_off})",
+                app.name
+            );
+            match &slice_grid {
+                None => slice_grid = Some(slice_on),
+                Some(first) => assert_eq!(
+                    &slice_on, first,
+                    "{} (jobs={jobs}): slice outcome varies across the grid",
                     app.name
-                );
-                assert!(
-                    init_on <= init_off,
-                    "{} ({engine:?}, jobs={jobs}): slicing must never cost init time \
-                     ({init_on} vs {init_off})",
-                    app.name
-                );
-                match &slice_grid {
-                    None => slice_grid = Some(slice_on),
-                    Some(first) => assert_eq!(
-                        &slice_on, first,
-                        "{} ({engine:?}, jobs={jobs}): slice outcome varies across the grid",
-                        app.name
-                    ),
-                }
+                ),
             }
         }
     }

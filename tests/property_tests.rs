@@ -815,159 +815,3 @@ fn incremental_hazard_sets_match_scratch_on_hazardous_edits() {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Bytecode VM vs tree-walker differential
-// ---------------------------------------------------------------------------
-
-/// A random expression over already-bound names: literals, arithmetic,
-/// comparisons (including chains), boolean operators, containers,
-/// subscripts and conditionals. May raise at runtime — both engines must
-/// then raise identically.
-fn random_vm_expr(rng: &mut Rng, vars: &[String], depth: usize) -> String {
-    let leaf = depth == 0 || rng.usize_inclusive(0, 2) == 0;
-    if leaf {
-        return match rng.usize_inclusive(0, 4) {
-            0 => format!("{}", rng.usize_inclusive(0, 99)),
-            1 if !vars.is_empty() => vars[rng.usize_inclusive(0, vars.len() - 1)].clone(),
-            2 => format!("\"s{}\"", rng.usize_inclusive(0, 9)),
-            3 => "True".to_owned(),
-            _ => format!("{}", rng.usize_inclusive(0, 9)),
-        };
-    }
-    let a = random_vm_expr(rng, vars, depth - 1);
-    let b = random_vm_expr(rng, vars, depth - 1);
-    match rng.usize_inclusive(0, 9) {
-        0 => format!("({a} + {b})"),
-        1 => format!("({a} * {b})"),
-        2 => format!("({a} - {b})"),
-        3 => format!("({a} < {b})"),
-        4 => {
-            let c = random_vm_expr(rng, vars, depth - 1);
-            format!("({a} < {b} < {c})")
-        }
-        5 => format!("({a} and {b})"),
-        6 => format!("({a} or {b})"),
-        7 => format!("[{a}, {b}]"),
-        8 => format!("({a} if {b} else {})", random_vm_expr(rng, vars, depth - 1)),
-        _ => format!("(not {a})"),
-    }
-}
-
-/// Append one random statement (possibly a compound with a nested block).
-fn random_vm_stmt(rng: &mut Rng, vars: &mut Vec<String>, out: &mut String, indent: usize) {
-    let pad = "    ".repeat(indent);
-    let deep = indent >= 2;
-    match rng.usize_inclusive(0, if deep { 4 } else { 9 }) {
-        0 | 1 => {
-            let name = format!("v{}", vars.len());
-            let e = random_vm_expr(rng, vars, 2);
-            out.push_str(&format!("{pad}{name} = {e}\n"));
-            vars.push(name);
-        }
-        2 => {
-            let e = random_vm_expr(rng, vars, 2);
-            out.push_str(&format!("{pad}print({e})\n"));
-        }
-        3 if !vars.is_empty() => {
-            let v = &vars[rng.usize_inclusive(0, vars.len() - 1)];
-            let e = random_vm_expr(rng, vars, 1);
-            out.push_str(&format!("{pad}{v} = {v} + {e}\n"));
-        }
-        4 => {
-            let name = format!("v{}", vars.len());
-            let cond = random_vm_expr(rng, vars, 1);
-            let body = random_vm_expr(rng, vars, 1);
-            out.push_str(&format!(
-                "{pad}{name} = [i * 2 for i in range({}) if {cond} or i > {body}]\n",
-                rng.usize_inclusive(0, 6)
-            ));
-            vars.push(name);
-        }
-        5 => {
-            let cond = random_vm_expr(rng, vars, 1);
-            out.push_str(&format!("{pad}if {cond}:\n"));
-            random_vm_stmt(rng, vars, out, indent + 1);
-            if rng.bool() {
-                out.push_str(&format!("{pad}else:\n"));
-                random_vm_stmt(rng, vars, out, indent + 1);
-            }
-        }
-        6 => {
-            let name = format!("v{}", vars.len());
-            let n = rng.usize_inclusive(0, 5);
-            out.push_str(&format!("{pad}{name} = 0\n"));
-            vars.push(name.clone());
-            out.push_str(&format!("{pad}while {name} < {n}:\n"));
-            out.push_str(&format!("{pad}    {name} = {name} + 1\n"));
-            if rng.bool() {
-                out.push_str(&format!(
-                    "{pad}    if {name} == {}:\n{pad}        {}\n",
-                    rng.usize_inclusive(1, 5),
-                    if rng.bool() { "break" } else { "continue" }
-                ));
-            }
-            random_vm_stmt(rng, vars, out, indent + 1);
-        }
-        7 => {
-            let name = format!("it{}", vars.len());
-            let e = random_vm_expr(rng, vars, 1);
-            out.push_str(&format!(
-                "{pad}for {name} in [{e}, {}]:\n",
-                random_vm_expr(rng, vars, 1)
-            ));
-            vars.push(name);
-            random_vm_stmt(rng, vars, out, indent + 1);
-        }
-        8 => {
-            out.push_str(&format!("{pad}try:\n"));
-            random_vm_stmt(rng, vars, out, indent + 1);
-            out.push_str(&format!("{pad}except Exception as exc:\n"));
-            out.push_str(&format!("{pad}    print(\"caught\", exc)\n"));
-            if rng.bool() {
-                out.push_str(&format!("{pad}finally:\n"));
-                out.push_str(&format!("{pad}    print(\"fin\")\n"));
-            }
-        }
-        _ => {
-            let fname = format!("f{}", vars.len());
-            let ret = random_vm_expr(rng, vars, 2);
-            out.push_str(&format!("{pad}def {fname}(x):\n{pad}    return {ret}\n"));
-            let arg = random_vm_expr(rng, vars, 1);
-            let name = format!("v{}", vars.len());
-            out.push_str(&format!("{pad}{name} = {fname}({arg})\n"));
-            vars.push(name);
-        }
-    }
-}
-
-/// Random small programs through both engines: results (or errors),
-/// stdout, virtual clock, simulated memory and step counts must be
-/// byte-identical. This is the randomized arm of the VM differential —
-/// the curated arm is `tests/differential_vm.rs`.
-#[test]
-fn vm_and_tree_walker_agree_on_random_programs() {
-    let mut rng = Rng::seed_from_u64(0xb17ec0de);
-    for case in 0..96 {
-        let mut source = String::new();
-        let mut vars = Vec::new();
-        for _ in 0..rng.usize_inclusive(2, 7) {
-            random_vm_stmt(&mut rng, &mut vars, &mut source, 0);
-        }
-        let run = |engine: pylite::Engine| {
-            let mut it = pylite::Interpreter::new(pylite::Registry::new());
-            it.engine = engine;
-            let result = it.exec_main(&source).map(|_| ()).map_err(|e| e.to_string());
-            (
-                result,
-                it.stdout.clone(),
-                it.meter.clock_ns(),
-                it.meter.mem_bytes(),
-                it.meter.steps,
-            )
-        };
-        let tree = run(pylite::Engine::Tree);
-        let vm = run(pylite::Engine::Vm);
-        assert_eq!(tree, vm, "case {case}: engines diverged on:\n{source}");
-    }
-}
