@@ -16,18 +16,30 @@ pub fn median(xs: &[f64]) -> f64 {
 }
 
 /// Percentile `p` in [0, 100] using linear interpolation between order
-/// statistics. Returns 0.0 for an empty slice.
+/// statistics (of a sorted copy; see [`percentile_sorted`]). Returns 0.0
+/// for an empty slice.
 ///
 /// # Panics
 ///
 /// Panics if `p` is outside `[0, 100]` or any value is NaN.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
-    if xs.is_empty() {
-        return 0.0;
-    }
     let mut sorted: Vec<f64> = xs.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in percentile input"));
+    percentile_sorted(&sorted, p)
+}
+
+/// [`percentile`] of a slice already sorted ascending: callers that read
+/// several percentiles of one sample sort it once. Returns 0.0 for an
+/// empty slice.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 100]`.
+pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+    assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
+    if sorted.is_empty() {
+        return 0.0;
+    }
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -91,6 +103,11 @@ mod tests {
         assert_eq!(percentile(&xs, 0.0), 10.0);
         assert_eq!(percentile(&xs, 100.0), 40.0);
         assert!((percentile(&xs, 50.0) - 25.0).abs() < 1e-12);
+        let unsorted = [30.0, 10.0, 40.0, 20.0];
+        for p in [0.0, 10.0, 50.0, 95.0, 100.0] {
+            assert_eq!(percentile(&unsorted, p), percentile_sorted(&xs, p));
+        }
+        assert_eq!(percentile_sorted(&[], 50.0), 0.0);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! # Engine
 //!
 //! The engine is event-driven: busy instances sit in a min-heap on
-//! `free_at` and idle instances in ordered multisets, so each arrival costs
+//! `free_at` and idle instances in sorted deques, so each arrival costs
 //! `O(log n)` amortized where a scan over every live instance costs `O(n)`
 //! — the difference between linear and quadratic behavior under bursts.
 //!
@@ -31,12 +31,25 @@
 //! `expires_at == free_at + keep_alive_secs` (set identically on creation
 //! and on every warm reuse), and a provisioned instance never expires. An
 //! instance's observable state is therefore exactly `(free_at,
-//! provisioned)`, which is what the ordered containers key on; instances
-//! that tie on that pair are interchangeable, so heap/multiset
-//! tie-breaking cannot change which request is warm. The test suite keeps
-//! the per-arrival `Vec` scan the engine replaced as a reference engine
+//! provisioned)`, which is what the containers key on; instances that tie
+//! on that pair are interchangeable, so heap/deque tie-breaking cannot
+//! change which request is warm. The test suite keeps the per-arrival
+//! `Vec` scan the engine replaced as a reference engine
 //! (`tests/naive_pool/mod.rs`), and differential tests pin stats and
 //! [`PoolEvent`] streams byte-identical to it.
+//!
+//! The idle deques stay sorted by pushing at the back because settles
+//! arrive in non-decreasing `free_at`: an arrival at `now` settles every
+//! busy entry with `free_at <= now`, so every entry left in the heap, and
+//! every entry pushed while that arrival dispatches (a finish at or after
+//! `now`, or an unchosen cap waiter that frees after `arrival`), is at or
+//! after everything already idle. Warm picks take the most recently used
+//! instance from the back and reaps pop expired ones from the front, so
+//! both are `O(1)`. (A sorted insert keeps the deques exact even on inputs
+//! that break the argument, such as a negative execution time.)
+//! Provisioned instances that were never used are all idle since 0.0,
+//! never expire and are interchangeable, so they are a count: setting up a
+//! pool costs `O(1)` whatever `provisioned` is.
 //!
 //! # Expiry boundary
 //!
@@ -47,7 +60,7 @@
 
 use crate::platform::{AppProfile, Platform, StartKind, StartMode};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// AWS provisioned-concurrency price: $ per GB-second of reserved capacity
 /// (lower than the on-demand duration price).
@@ -166,6 +179,14 @@ pub enum PoolError {
         /// 0-based index of the NaN arrival.
         index: usize,
     },
+    /// An arrival timestamp lies before the window start (0 s), where no
+    /// instance, provisioned or not, exists yet.
+    NegativeArrival {
+        /// 0-based index of the negative arrival.
+        index: usize,
+        /// The negative timestamp found at `index`.
+        found: f64,
+    },
 }
 
 impl std::fmt::Display for PoolError {
@@ -183,13 +204,19 @@ impl std::fmt::Display for PoolError {
             PoolError::NanArrival { index } => {
                 write!(f, "arrivals[{index}] is NaN")
             }
+            PoolError::NegativeArrival { index, found } => {
+                write!(
+                    f,
+                    "arrivals[{index}] = {found} is before the window start (0 s)"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for PoolError {}
 
-/// Total-order key for pool timestamps (`f64::total_cmp`); the simulator
+/// Total-order key for the busy heap (`f64::total_cmp`); the simulator
 /// rejects NaN at the boundary, and all derived times are NaN-free, so the
 /// total order coincides with the numeric order.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -209,44 +236,45 @@ impl Ord for Time {
     }
 }
 
-/// Ordered multiset of idle-instance `free_at` times.
-type IdleSet = BTreeMap<Time, usize>;
+/// The `free_at` times of one kind of idle instance, sorted ascending:
+/// the most recently used instance is at the back, the first to expire at
+/// the front.
+type IdleSet = VecDeque<f64>;
 
+/// Add an instance that became idle at `t`. Settles come in non-decreasing
+/// `t` (see the module docs), so this is a push at the back; the sorted
+/// insert keeps the set exact on any input.
 fn idle_insert(set: &mut IdleSet, t: f64) {
-    *set.entry(Time(t)).or_insert(0) += 1;
-}
-
-/// Remove and return the greatest `free_at` (most recently used).
-fn idle_take_max(set: &mut IdleSet) -> Option<f64> {
-    let (&key, count) = set.iter_mut().next_back()?;
-    *count -= 1;
-    if *count == 0 {
-        set.remove(&key);
+    if set.back().is_none_or(|&last| last <= t) {
+        set.push_back(t);
+    } else {
+        set.insert(set.partition_point(|&x| x <= t), t);
     }
-    Some(key.0)
 }
 
 /// Simulate an arrival stream through one function's pool: `on_event` is
 /// called once per arrival, in arrival order, with the dispatched request's
 /// timeline (callers that need no events pass `|_| {}`). Arrivals are
-/// consumed as they come and never materialized, and their ordering is
-/// validated on the fly.
+/// consumed as they come, and validated on the fly.
 ///
 /// Busy instances live in a min-heap keyed on `free_at` (tagged
-/// provisioned/on-demand); idle instances live in two ordered multisets of
+/// provisioned/on-demand); idle instances live in two sorted deques of
 /// `free_at` (provisioned instances never expire; on-demand instances
 /// expire at `free_at + keep_alive_secs`, so the key determines expiry
-/// too). Each arrival settles freed instances out of the heap, reaps
-/// expired idle instances from the cheap end of the multiset, and — under
-/// a concurrency cap — pops exactly `busy - cap + 1` heap entries to find
-/// the queued request's dispatch time: the `(busy - cap + 1)`-th earliest
-/// `free_at`, when occupancy first drops below the cap. A cap of 0 is
-/// treated as 1.
+/// too), and never-used provisioned instances are a count. Each arrival
+/// settles freed instances out of the heap, reaps expired idle instances
+/// from the front of the on-demand deque, and — under a concurrency cap —
+/// pops exactly `busy - cap + 1` heap entries to find the queued request's
+/// dispatch time: the `(busy - cap + 1)`-th earliest `free_at`, when
+/// occupancy first drops below the cap. A cap of 0 is treated as 1. Warm
+/// and cold starts are priced once, before the first arrival: their
+/// latency and cost depend only on the app and the start mode.
 ///
 /// # Errors
 ///
-/// [`PoolError::UnsortedArrivals`] or [`PoolError::NanArrival`]: arrivals
-/// must be sorted ascending (seconds from window start) and NaN-free.
+/// [`PoolError::NanArrival`], [`PoolError::NegativeArrival`] or
+/// [`PoolError::UnsortedArrivals`]: arrivals must be NaN-free, at or after
+/// the window start and sorted ascending.
 pub fn simulate_pool(
     platform: &Platform,
     app: &AppProfile,
@@ -255,43 +283,32 @@ pub fn simulate_pool(
     mut on_event: impl FnMut(PoolEvent),
 ) -> Result<PoolStats, PoolError> {
     let keep_alive = options.keep_alive_secs;
+    let warm = platform.warm_invocation(app);
+    let cold = platform.cold_invocation(app, options.mode);
+    let (warm_e2e, cold_e2e) = (warm.e2e_secs(), cold.e2e_secs());
     // Busy = dispatched and not yet freed: min-heap on (free_at, provisioned).
     let mut busy: BinaryHeap<Reverse<(Time, bool)>> = BinaryHeap::new();
-    let mut idle_demand: IdleSet = IdleSet::new();
-    let mut idle_prov: IdleSet = IdleSet::new();
-    for _ in 0..options.provisioned {
-        idle_insert(&mut idle_prov, 0.0);
-    }
+    let mut idle_demand = IdleSet::new();
+    let mut idle_prov = IdleSet::new();
+    // Provisioned instances not yet used: idle since 0.0, never expiring,
+    // interchangeable.
+    let mut fresh_prov = options.provisioned;
+    // Cap-wait candidates of one arrival (see below); reused across arrivals.
+    let mut waiters: Vec<(f64, bool)> = Vec::new();
 
-    // Move every busy instance freed by `now` into its idle set.
-    let settle = |busy: &mut BinaryHeap<Reverse<(Time, bool)>>,
-                  idle_demand: &mut IdleSet,
-                  idle_prov: &mut IdleSet,
-                  now: f64| {
-        while let Some(&Reverse((t, provisioned))) = busy.peek() {
-            if t.0 > now {
-                break;
-            }
-            busy.pop();
-            idle_insert(if provisioned { idle_prov } else { idle_demand }, t.0);
-        }
-    };
     // Reap idle on-demand instances whose keep-alive ran out strictly
     // before `now` (exclusive expiry; see the module docs). Every entry
     // already satisfies `free_at <= now`, and the reap predicate is
-    // monotone in `free_at`, so popping from the low end suffices. The
+    // monotone in `free_at`, so popping from the front suffices. The
     // negated comparison is deliberate: it is the exact complement of the
     // reap test `expires_at < now`, NaN semantics included.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     let reap = |idle_demand: &mut IdleSet, now: f64| {
-        while let Some((&key, count)) = idle_demand.iter_mut().next() {
-            if !(key.0 + keep_alive < now) {
+        while let Some(&t) = idle_demand.front() {
+            if !(t + keep_alive < now) {
                 break;
             }
-            *count -= 1;
-            if *count == 0 {
-                idle_demand.remove(&key);
-            }
+            idle_demand.pop_front();
         }
     };
 
@@ -300,6 +317,12 @@ pub fn simulate_pool(
     for (index, arrival) in arrivals.into_iter().enumerate() {
         if arrival.is_nan() {
             return Err(PoolError::NanArrival { index });
+        }
+        if arrival < 0.0 {
+            return Err(PoolError::NegativeArrival {
+                index,
+                found: arrival,
+            });
         }
         if arrival < prev {
             return Err(PoolError::UnsortedArrivals {
@@ -310,7 +333,19 @@ pub fn simulate_pool(
         }
         prev = arrival;
         let mut now = arrival;
-        settle(&mut busy, &mut idle_demand, &mut idle_prov, now);
+        // Move every busy instance freed by `now` into its idle set.
+        while let Some(&Reverse((t, provisioned))) = busy.peek() {
+            if t.0 > now {
+                break;
+            }
+            busy.pop();
+            let set = if provisioned {
+                &mut idle_prov
+            } else {
+                &mut idle_demand
+            };
+            idle_insert(set, t.0);
+        }
         reap(&mut idle_demand, now);
 
         // Concurrency limiting. With `busy >= cap` instances running, the
@@ -325,7 +360,6 @@ pub fn simulate_pool(
         // they count as busy again). They become warm candidates for this
         // dispatch only, and the unchosen ones go straight back into the
         // busy heap to settle at whatever later arrival overtakes them.
-        let mut waiters: Vec<(f64, bool)> = Vec::new();
         if let Some(cap) = options.max_concurrency {
             let cap = cap.max(1);
             if busy.len() >= cap {
@@ -357,8 +391,9 @@ pub fn simulate_pool(
         // Prefer provisioned instances, then the most-recently-used warm
         // one. After settling and reaping, every idle entry and every
         // surviving waiter is dispatchable (`free_at <= now`, not expired),
-        // so this is a max over (provisioned, free_at) across both.
+        // so this is a max over (provisioned, free_at) across all of them.
         enum WarmSource {
+            FreshProv,
             IdleProv,
             IdleDemand,
             Waiter(usize),
@@ -372,22 +407,26 @@ pub fn simulate_pool(
                 best = Some((prov, t, src));
             }
         };
-        if let Some(&t) = idle_prov.keys().next_back() {
-            consider(true, t, WarmSource::IdleProv);
+        if fresh_prov > 0 {
+            consider(true, Time(0.0), WarmSource::FreshProv);
         }
-        if let Some(&t) = idle_demand.keys().next_back() {
-            consider(false, t, WarmSource::IdleDemand);
+        if let Some(&t) = idle_prov.back() {
+            consider(true, Time(t), WarmSource::IdleProv);
+        }
+        if let Some(&t) = idle_demand.back() {
+            consider(false, Time(t), WarmSource::IdleDemand);
         }
         for (i, &(f, provisioned)) in waiters.iter().enumerate() {
             consider(provisioned, Time(f), WarmSource::Waiter(i));
         }
         let warm_slot = best.map(|(provisioned, _, src)| {
             match src {
+                WarmSource::FreshProv => fresh_prov -= 1,
                 WarmSource::IdleProv => {
-                    idle_take_max(&mut idle_prov);
+                    idle_prov.pop_back();
                 }
                 WarmSource::IdleDemand => {
-                    idle_take_max(&mut idle_demand);
+                    idle_demand.pop_back();
                 }
                 WarmSource::Waiter(i) => {
                     waiters.swap_remove(i);
@@ -395,30 +434,26 @@ pub fn simulate_pool(
             }
             provisioned
         });
-        for (f, provisioned) in waiters {
+        for (f, provisioned) in waiters.drain(..) {
             busy.push(Reverse((Time(f), provisioned)));
         }
-        let (inv, start_kind, provisioned) = match warm_slot {
-            Some(provisioned) => (platform.warm_invocation(app), StartKind::Warm, provisioned),
-            None => (
-                platform.cold_invocation(app, options.mode),
-                StartKind::Cold,
-                false,
-            ),
+        let (inv, e2e, kind, provisioned) = match warm_slot {
+            Some(provisioned) => (&warm, warm_e2e, StartKind::Warm, provisioned),
+            None => (&cold, cold_e2e, StartKind::Cold, false),
         };
-        let finish = now + inv.e2e_secs();
+        let finish = now + e2e;
         busy.push(Reverse((Time(finish), provisioned)));
-        match start_kind {
+        match kind {
             StartKind::Cold => stats.cold_starts += 1,
             StartKind::Warm => stats.warm_starts += 1,
         }
         stats.invocation_cost += inv.cost;
-        stats.total_e2e_secs += inv.e2e_secs() + (now - arrival);
+        stats.total_e2e_secs += e2e + (now - arrival);
         on_event(PoolEvent {
             arrival,
             start: now,
             finish,
-            kind: start_kind,
+            kind,
         });
     }
     // Reserved capacity is billed for the whole window regardless of use.
@@ -661,6 +696,44 @@ mod tests {
         let nan = simulate_pool(&platform, &app(), [0.0, f64::NAN], &options, |_| {})
             .expect_err("NaN arrivals must be rejected");
         assert_eq!(nan, PoolError::NanArrival { index: 1 });
+        // Before the window start no instance exists: a provisioned one
+        // idle since 0.0 must not serve an arrival at -5 s.
+        let provisioned = PoolOptions {
+            provisioned: 1,
+            ..PoolOptions::default()
+        };
+        let negative = simulate_pool(&platform, &app(), [-5.0, 10.0], &provisioned, |_| {})
+            .expect_err("negative arrivals must be rejected");
+        assert_eq!(
+            negative,
+            PoolError::NegativeArrival {
+                index: 0,
+                found: -5.0
+            }
+        );
+        assert!(negative.to_string().contains("before the window start"));
+    }
+
+    #[test]
+    fn pool_setup_does_not_scale_with_provisioned_instances() {
+        // Never-used provisioned instances are a count, so 2^40 of them
+        // cost nothing to set up; each arrival takes a fresh one.
+        let provisioned = 1usize << 40;
+        let options = PoolOptions {
+            provisioned,
+            ..PoolOptions::default()
+        };
+        let stats = run(&app(), &[0.0; 10], &options);
+        assert_eq!((stats.cold_starts, stats.warm_starts), (0, 10));
+        let mem_gb = Platform::default()
+            .config
+            .pricing
+            .configured_memory_mb(app().mem_mb) as f64
+            / 1024.0;
+        assert_eq!(
+            stats.provisioned_cost,
+            provisioned as f64 * mem_gb * options.window_secs * AWS_PROVISIONED_PRICE_PER_GB_S
+        );
     }
 
     #[test]

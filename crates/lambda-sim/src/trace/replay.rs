@@ -10,13 +10,15 @@
 //!
 //! One core serves two entry points, which differ in two type parameters:
 //!
-//! * the **arrival source** — [`replay_trace`] reads each function's
+//! * the **arrival source** — [`replay_trace`] borrows each function's
 //!   arrival slice from a materialized [`TraceSet`]; [`replay_fleet`]
 //!   synthesizes function `i` of a [`TraceConfig`] on the worker that
 //!   replays it ([`synthesize_function`] is row-order independent) and
-//!   streams its arrivals straight into the pool, so no arrival vector
-//!   ever exists and memory is bounded by fleet size, not invocation
-//!   count;
+//!   collects its arrivals into that worker's one reusable buffer. Either
+//!   way a function's arrivals are produced once and every variant's pool
+//!   reads the same slice, and the fleet sweep holds at most one
+//!   function's arrivals per worker: memory is bounded by fleet size and
+//!   the largest function, not by invocation count;
 //! * the **latency summary** — [`replay_trace`] keeps every E2E sample
 //!   for exact percentiles; [`replay_fleet`] fills a 600-bin log-scale
 //!   histogram (60 bins per decade over 10⁻⁴–10⁶ s), whose percentile
@@ -38,7 +40,7 @@
 
 use super::synthetic::{synthesize_function, SyntheticFunction, TraceConfig};
 use super::{FunctionTrace, TraceError, TraceSet};
-use crate::metrics::percentile;
+use crate::metrics::percentile_sorted;
 use crate::platform::{AppProfile, Platform, StartMode};
 use crate::pool::{simulate_pool, PoolOptions, PoolStats};
 use crate::pricing::SnapStartPricing;
@@ -157,13 +159,13 @@ pub struct ReplayReport {
 pub type FleetReport = ReplayReport;
 
 /// One function the core replays: the dataset columns its pool profile is
-/// built from, and its arrivals, sorted ascending and restartable (one
-/// stream per variant).
+/// built from, and its arrivals, sorted ascending.
 trait ReplayFunction {
     /// `(name, mem_mb, duration_ms)`.
     fn profile(&self) -> (&str, f64, f64);
-    /// The function's arrival stream, from the start.
-    fn arrivals(&self) -> impl Iterator<Item = f64>;
+    /// The function's arrivals: borrowed, or collected into `buf` (which
+    /// the caller reuses across functions).
+    fn arrivals<'a>(&'a self, buf: &'a mut Vec<f64>) -> &'a [f64];
 }
 
 impl ReplayFunction for &FunctionTrace {
@@ -171,8 +173,8 @@ impl ReplayFunction for &FunctionTrace {
         (&self.name, self.mem_mb, self.duration_ms)
     }
 
-    fn arrivals(&self) -> impl Iterator<Item = f64> {
-        self.arrivals.iter().copied()
+    fn arrivals<'a>(&'a self, _buf: &'a mut Vec<f64>) -> &'a [f64] {
+        &self.arrivals
     }
 }
 
@@ -181,18 +183,23 @@ impl ReplayFunction for SyntheticFunction {
         (&self.name, self.mem_mb, self.duration_ms)
     }
 
-    fn arrivals(&self) -> impl Iterator<Item = f64> {
-        SyntheticFunction::arrivals(self)
+    fn arrivals<'a>(&'a self, buf: &'a mut Vec<f64>) -> &'a [f64] {
+        buf.clear();
+        buf.extend(SyntheticFunction::arrivals(self));
+        buf
     }
 }
+
+/// The E2E latency percentiles every variant reports: p50, p95 and p99.
+const E2E_PERCENTILES: [f64; 3] = [50.0, 95.0, 99.0];
 
 /// Per-variant E2E latency summary: filled by one worker, merged across
 /// workers (in any order), then asked for percentiles.
 trait LatencySummary: Default + Send {
     fn record(&mut self, e2e_secs: f64);
     fn merge(&mut self, other: Self);
-    /// The `p`-th percentile, or 0 when nothing was recorded.
-    fn percentile(&self, p: f64) -> f64;
+    /// The [`E2E_PERCENTILES`], or zeros when nothing was recorded.
+    fn percentiles(&mut self) -> [f64; 3];
 }
 
 /// Every sample: exact, interpolated order statistics.
@@ -208,8 +215,11 @@ impl LatencySummary for Samples {
         self.0.extend(other.0);
     }
 
-    fn percentile(&self, p: f64) -> f64 {
-        percentile(&self.0, p)
+    /// Sorts the samples in place, once for all three percentiles.
+    fn percentiles(&mut self) -> [f64; 3] {
+        self.0
+            .sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN in latency samples"));
+        E2E_PERCENTILES.map(|p| percentile_sorted(&self.0, p))
     }
 }
 
@@ -221,37 +231,62 @@ const HIST_LOG_MIN: f64 = -4.0;
 const HIST_LOG_MAX: f64 = 6.0;
 
 /// Log-scale histogram of samples: fixed size however many are recorded.
-struct LogHistogram(Vec<u64>);
+struct LogHistogram {
+    /// Samples per bin.
+    counts: Vec<u64>,
+    /// The last sample recorded and its bin. Most samples repeat the one
+    /// before (uncapped warm and cold E2E are constant per function and
+    /// variant), and the same sample always lands in the same bin, so
+    /// this skips the `log10` exactly.
+    last: (f64, usize),
+}
 
 impl Default for LogHistogram {
     fn default() -> Self {
-        LogHistogram(vec![0; HIST_BINS])
+        LogHistogram {
+            counts: vec![0; HIST_BINS],
+            // NaN equals nothing, so the first sample computes its bin.
+            last: (f64::NAN, 0),
+        }
     }
 }
 
 impl LatencySummary for LogHistogram {
     fn record(&mut self, e2e_secs: f64) {
-        let log = e2e_secs.max(1e-300).log10();
-        let pos = (log - HIST_LOG_MIN) / (HIST_LOG_MAX - HIST_LOG_MIN) * HIST_BINS as f64;
-        self.0[(pos as isize).clamp(0, HIST_BINS as isize - 1) as usize] += 1;
+        if e2e_secs != self.last.0 {
+            let log = e2e_secs.max(1e-300).log10();
+            let pos = (log - HIST_LOG_MIN) / (HIST_LOG_MAX - HIST_LOG_MIN) * HIST_BINS as f64;
+            self.last = (
+                e2e_secs,
+                (pos as isize).clamp(0, HIST_BINS as isize - 1) as usize,
+            );
+        }
+        self.counts[self.last.1] += 1;
     }
 
     fn merge(&mut self, other: Self) {
-        for (bin, count) in self.0.iter_mut().zip(other.0) {
+        for (bin, count) in self.counts.iter_mut().zip(other.counts) {
             *bin += count;
         }
     }
 
-    /// The geometric midpoint of the first bin whose cumulative count
-    /// reaches the rank.
+    fn percentiles(&mut self) -> [f64; 3] {
+        E2E_PERCENTILES.map(|p| self.percentile(p))
+    }
+}
+
+impl LogHistogram {
+    /// The `p`-th percentile, or 0 when nothing was recorded: the
+    /// geometric midpoint of the first bin whose cumulative count reaches
+    /// the rank.
     fn percentile(&self, p: f64) -> f64 {
-        let total: u64 = self.0.iter().sum();
+        let total: u64 = self.counts.iter().sum();
         if total == 0 {
             return 0.0;
         }
         let rank = (p / 100.0 * total as f64).ceil().max(1.0) as u64;
         let mut cum = 0u64;
-        for (bin, &count) in self.0.iter().enumerate() {
+        for (bin, &count) in self.counts.iter().enumerate() {
             cum += count;
             if cum >= rank {
                 let width = (HIST_LOG_MAX - HIST_LOG_MIN) / HIST_BINS as f64;
@@ -299,6 +334,7 @@ fn replay<F: ReplayFunction, S: LatencySummary>(
     let slots = Mutex::new(slots);
     let worker = || {
         let mut summaries: Vec<S> = pools.iter().map(|_| S::default()).collect();
+        let mut buf = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= functions {
@@ -313,11 +349,13 @@ fn replay<F: ReplayFunction, S: LatencySummary>(
                 duration_ms / 1000.0,
                 mem_mb,
             );
+            // One arrival pass per function, read by every variant.
+            let arrivals = f.arrivals(&mut buf);
             let stats = pools
                 .iter()
                 .zip(&mut summaries)
                 .map(|(pool, summary)| {
-                    simulate_pool(platform, &app, f.arrivals(), pool, |e| {
+                    simulate_pool(platform, &app, arrivals.iter().copied(), pool, |e| {
                         summary.record(e.finish - e.arrival)
                     })
                     .unwrap_or_else(|e| panic!("replaying {}: {e}", app.name))
@@ -327,7 +365,7 @@ fn replay<F: ReplayFunction, S: LatencySummary>(
         }
     };
     let threads = options.jobs.max(1).min(functions.max(1));
-    let summaries = if threads <= 1 {
+    let mut summaries = if threads <= 1 {
         worker()
     } else {
         std::thread::scope(|scope| {
@@ -417,12 +455,19 @@ fn replay<F: ReplayFunction, S: LatencySummary>(
             }
         }
     }
-    for ((report, summary), ratios) in variants.iter_mut().zip(&summaries).zip(&cold_ratios) {
-        report.e2e_p50_secs = summary.percentile(50.0);
-        report.e2e_p95_secs = summary.percentile(95.0);
-        report.e2e_p99_secs = summary.percentile(99.0);
+    for ((report, summary), ratios) in variants
+        .iter_mut()
+        .zip(&mut summaries)
+        .zip(&mut cold_ratios)
+    {
+        [
+            report.e2e_p50_secs,
+            report.e2e_p95_secs,
+            report.e2e_p99_secs,
+        ] = summary.percentiles();
+        ratios.sort_unstable_by(|a, b| a.partial_cmp(b).expect("no NaN in cold ratios"));
         for (d, decile) in report.cold_ratio_deciles.iter_mut().enumerate() {
-            *decile = percentile(ratios, (d + 1) as f64 * 10.0);
+            *decile = percentile_sorted(ratios, (d + 1) as f64 * 10.0);
         }
         let total = report.total_cost();
         report.snapstart_share = if total > 0.0 {
@@ -464,8 +509,10 @@ pub fn replay_trace(
 
 /// Stream-replay the synthetic fleet described by `config` under every
 /// (mode × keep-alive) variant of `options`, fanning function indices out
-/// over `options.jobs` workers. No arrival vector is ever materialized;
-/// memory stays bounded by fleet size, not invocation count. E2E
+/// over `options.jobs` workers. Each worker synthesizes a function's
+/// arrivals once, into one buffer it reuses, and every variant replays
+/// that buffer; memory stays bounded by fleet size and the largest
+/// function, not invocation count. E2E
 /// percentiles are histogram estimates; everything else equals
 /// [`replay_trace`] on `generate_trace(config)`. The report is
 /// byte-identical whatever the worker count.
@@ -744,14 +791,32 @@ mod tests {
     #[test]
     fn histogram_percentiles_are_monotone() {
         let mut hist = LogHistogram::default();
-        hist.0[100] = 50;
-        hist.0[200] = 40;
-        hist.0[300] = 10;
+        hist.counts[100] = 50;
+        hist.counts[200] = 40;
+        hist.counts[300] = 10;
         let p50 = hist.percentile(50.0);
         let p95 = hist.percentile(95.0);
         let p99 = hist.percentile(99.0);
         assert!(0.0 < p50 && p50 <= p95 && p95 <= p99);
         assert_eq!(LogHistogram::default().percentile(50.0), 0.0);
+    }
+
+    #[test]
+    fn histogram_bin_memo_matches_fresh_binning() {
+        // The remembered (sample, bin) pair must never put a sample in a
+        // different bin than a fresh histogram would.
+        let samples = [0.25, 0.25, 3.0, 0.25, 0.0, -0.0, 0.0, 1e9, 1e9, 3.0, 1e-7];
+        let mut memo = LogHistogram::default();
+        let mut fresh_counts = vec![0u64; HIST_BINS];
+        for &x in &samples {
+            memo.record(x);
+            let mut fresh = LogHistogram::default();
+            fresh.record(x);
+            for (total, count) in fresh_counts.iter_mut().zip(&fresh.counts) {
+                *total += count;
+            }
+        }
+        assert_eq!(memo.counts, fresh_counts);
     }
 
     #[test]

@@ -21,13 +21,14 @@
 //! `config.seed ^ fnv1a64(name)` — so [`synthesize_function`] can produce
 //! function `i` without generating functions `0..i`, any subset of the
 //! fleet can be generated on any worker in any order, and arrivals come out
-//! of [`SyntheticFunction::arrivals`] as a sorted iterator that never
-//! materializes a `Vec<f64>`. A 40k-function fleet with 10⁸ invocations
-//! streams through the replay core in bounded memory (see
-//! [`super::replay_fleet`]). [`generate_trace`] is a thin wrapper that
-//! collects every stream into [`FunctionTrace`]s, so the materialized
-//! trace [`super::replay_trace`] reads and the stream [`super::replay_fleet`]
-//! reads are byte-identical by construction (and pinned by tests).
+//! of [`SyntheticFunction::arrivals`] as a sorted iterator. The replay
+//! core collects one function's arrivals at a time into a buffer each
+//! worker reuses, so a 40k-function fleet with 10⁸ invocations replays in
+//! memory bounded by its largest function (see [`super::replay_fleet`]).
+//! [`generate_trace`] is a thin wrapper that collects every stream into
+//! [`FunctionTrace`]s, so the materialized trace [`super::replay_trace`]
+//! reads and the stream [`super::replay_fleet`] reads are byte-identical by
+//! construction (and pinned by tests).
 
 use super::reconstruct::fnv1a64;
 use super::{

@@ -1971,20 +1971,15 @@ impl Interpreter {
                         "range() arg 3 must not be zero",
                     ));
                 }
-                let mut out = Vec::new();
-                let mut i = start;
-                while (step > 0 && i < stop) || (step < 0 && i > stop) {
-                    out.push(Value::Int(i));
-                    if out.len() > MAX_SEQUENCE_LEN {
-                        return Err(PyErr::new(ExcKind::ResourceExhausted, "range too large"));
-                    }
-                    // The next value would pass `i64::MAX` or `i64::MIN`,
-                    // so it is past `stop` as well.
-                    match i.checked_add(step) {
-                        Some(next) => i = next,
-                        None => break,
-                    }
-                }
+                let len = range_len(start, stop, step)?;
+                let mut out = Vec::with_capacity(len);
+                // Only the value after the last can pass `i64::MAX` or
+                // `i64::MIN`, so `checked_add` never cuts the range short.
+                out.extend(
+                    std::iter::successors(Some(start), |i| i.checked_add(step))
+                        .take(len)
+                        .map(Value::Int),
+                );
                 Ok(Value::list(out))
             }
             Builtin::Str => Ok(Value::str(args.first().map(py_str).unwrap_or_default())),
@@ -2558,6 +2553,25 @@ fn repeat_count(len: usize, n: i64) -> Result<usize, PyErr> {
             ExcKind::ResourceExhausted,
             "repetition too large",
         )),
+    }
+}
+
+/// How many values `range(start, stop, step)` holds (`step != 0`),
+/// computed in `i128` so no bound overflows, and `ResourceExhausted`,
+/// before anything is allocated, when there are more than
+/// [`MAX_SEQUENCE_LEN`].
+fn range_len(start: i64, stop: i64, step: i64) -> Result<usize, PyErr> {
+    let (start, stop, step) = (i128::from(start), i128::from(stop), i128::from(step));
+    let len = if step > 0 && start < stop {
+        (stop - start + step - 1) / step
+    } else if step < 0 && start > stop {
+        (start - stop - step - 1) / -step
+    } else {
+        0
+    };
+    match usize::try_from(len) {
+        Ok(len) if len <= MAX_SEQUENCE_LEN => Ok(len),
+        _ => Err(PyErr::new(ExcKind::ResourceExhausted, "range too large")),
     }
 }
 
@@ -3479,5 +3493,44 @@ print(isinstance(B(), A))
         assert!(!m.ns.is_empty());
         drop(it);
         assert!(m.ns.is_empty(), "teardown cleared the namespace");
+    }
+
+    #[test]
+    fn range_len_counts_what_stepping_yields() {
+        // Step from `start` until `stop` is reached or `i64` overflows.
+        fn stepped(start: i64, stop: i64, step: i64) -> usize {
+            std::iter::successors(Some(start), |i| i.checked_add(step))
+                .take_while(|&i| if step > 0 { i < stop } else { i > stop })
+                .count()
+        }
+        let (min, max) = (i64::MIN, i64::MAX);
+        for start in -7..7 {
+            for stop in -7..7 {
+                for step in [-3, -2, -1, 1, 2, 3, max, min] {
+                    let len = range_len(start, stop, step).expect("short range");
+                    assert_eq!(len, stepped(start, stop, step), "{start} {stop} {step}");
+                }
+            }
+        }
+        for (start, stop, step) in [
+            (max - 7, max, 2),
+            (min + 7, min, -3),
+            (min, max, max),
+            (max, min, min),
+            (0, max, 1 << 40),
+        ] {
+            let len = range_len(start, stop, step).expect("short range");
+            assert_eq!(len, stepped(start, stop, step), "{start} {stop} {step}");
+        }
+        for (start, stop, step) in [(0, 100_000_000_000, 1), (min, max, 1), (max, min, -1)] {
+            let err = range_len(start, stop, step).expect_err("too long");
+            assert_eq!(err.kind, ExcKind::ResourceExhausted);
+        }
+        let limit = MAX_SEQUENCE_LEN as i64;
+        assert_eq!(
+            range_len(0, limit, 1).expect("at the limit"),
+            MAX_SEQUENCE_LEN
+        );
+        assert!(range_len(0, limit + 1, 1).is_err());
     }
 }

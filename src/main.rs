@@ -612,8 +612,9 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             lambda_sim::replay_trace(&Platform::default(), &trace, &options)
         }
         None => {
-            // Fleet streaming path: arrivals never materialize, so the sweep
-            // scales to fleet sizes whose traces would not fit in memory.
+            // Fleet streaming path: each worker holds one function's
+            // arrivals at a time, so the sweep scales to fleet sizes whose
+            // traces would not fit in memory.
             let config = synth_config()?;
             eprintln!(
                 "streaming synthetic fleet: {} functions over {:.0} s ({jobs})",

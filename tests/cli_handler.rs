@@ -96,6 +96,11 @@ fn integer_and_repetition_edge_cases_end_in_a_result_or_a_typed_error() {
         ("'ab' * 4611686018427387904", "ResourceExhausted"),
         ("[0] * 100000000000", "ResourceExhausted"),
         ("'ab' * 1000000000000", "ResourceExhausted"),
+        ("range(100000000000)", "ResourceExhausted"),
+        (
+            "range(-9223372036854775807 - 1, 9223372036854775807)",
+            "ResourceExhausted",
+        ),
     ];
     for (expr, expected) in cases {
         fs::write(

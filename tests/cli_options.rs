@@ -1,8 +1,12 @@
 //! Every `lambda-trim` command checks its command line before doing any
 //! work: an option it does not take, a value option given without a value
 //! and a switch given a value all fail naming the option, instead of
-//! running with defaults and exiting 0.
+//! running with defaults and exiting 0. Valid extreme values run: a
+//! billion provisioned instances per function cost `simulate` no set-up
+//! time.
 
+use lambda_sim::pool::AWS_PROVISIONED_PRICE_PER_GB_S;
+use lambda_sim::{synthesize_function, DiurnalProfile, Platform, TraceConfig};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -163,5 +167,55 @@ fn every_option_a_command_takes_is_accepted() {
     }
     assert!(dir.join("out/REPORT.txt").exists());
     assert!(dir.join("metrics.json").exists());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn simulate_with_a_billion_provisioned_instances_is_all_warm() {
+    let dir = fixture("provisioned");
+    let provisioned = 1_000_000_000usize;
+    let args = [
+        "simulate",
+        "--functions",
+        "4",
+        "--provisioned",
+        &provisioned.to_string(),
+        "--out",
+        "metrics.json",
+    ];
+    let out = lambda_trim(&dir, &args);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = fs::read_to_string(dir.join("metrics.json")).expect("metrics written");
+    // `simulate`'s default synthetic fleet, billed in function order.
+    let config = TraceConfig {
+        functions: 4,
+        window_secs: 24.0 * 3600.0,
+        seed: 0xA57AC3,
+        diurnal: Some(DiurnalProfile::default()),
+    };
+    let pricing = Platform::default().config.pricing;
+    let provisioned_cost = (0..config.functions)
+        .map(|id| {
+            let mem_mb = synthesize_function(&config, id).mem_mb;
+            let mem_gb = pricing.configured_memory_mb(mem_mb) as f64 / 1024.0;
+            provisioned as f64 * mem_gb * config.window_secs * AWS_PROVISIONED_PRICE_PER_GB_S
+        })
+        .fold(0.0, |total, cost| total + cost);
+    let variants: Vec<&str> = json.lines().filter(|l| l.contains("\"mode\"")).collect();
+    assert_eq!(variants.len(), 4, "{json}");
+    for v in variants {
+        let field = |key: &str| {
+            let (_, rest) = v.split_once(&format!("\"{key}\": ")).expect(key);
+            rest.split([',', '}']).next().expect(key)
+        };
+        assert_ne!(field("invocations"), "0", "{v}");
+        assert_eq!(field("cold_starts"), "0", "{v}");
+        assert_eq!(field("warm_starts"), field("invocations"), "{v}");
+        assert_eq!(field("provisioned_cost_usd"), provisioned_cost.to_string());
+    }
     let _ = fs::remove_dir_all(&dir);
 }

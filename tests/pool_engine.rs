@@ -1,8 +1,9 @@
 //! Differential tests of the event-driven pool engine against the
 //! reference engine in `tests/naive_pool/`: stats and the full traced
 //! `PoolEvent` stream must be byte-identical on random bursty workloads,
-//! on a large fixed burst, and at the exclusive keep-alive expiry
-//! boundary. (The golden-fixture differential lives in
+//! on a large fixed burst (with and without mostly unused provisioned
+//! instances), on ties at `free_at` 0.0 and at a zero execution time, and
+//! at the exclusive keep-alive expiry boundary. (The golden-fixture differential lives in
 //! `tests/trace_replay.rs`, the wider random sweep in
 //! `tests/property_tests.rs`.)
 
@@ -92,6 +93,52 @@ fn event_engine_matches_naive_engine_on_random_workloads() {
     };
     let stats = assert_engines_agree(&platform, &app, &arrivals, &options, "burst 50x80");
     assert_eq!(stats.invocations(), 4_000);
+
+    // Provisioned instances against the same burst, which keeps up to
+    // 4 × 80 requests running: 200 of them run out of fresh instances in
+    // the third burst, and of 1,000 most are never used and stay in the
+    // engine's count of fresh instances.
+    for provisioned in [200, 1_000] {
+        let options = PoolOptions {
+            provisioned,
+            ..options.clone()
+        };
+        let case = format!("burst 50x80, {provisioned} provisioned");
+        let stats = assert_engines_agree(&platform, &app, &arrivals, &options, &case);
+        assert_eq!(stats.cold_starts == 0, provisioned > 320, "{case}");
+    }
+
+    // Arrivals at exactly 0.0 with keep-alive 0: fresh provisioned
+    // instances tie at `free_at` 0.0 with the arrivals' clock.
+    let at_zero = PoolOptions {
+        keep_alive_secs: 0.0,
+        provisioned: 3,
+        ..PoolOptions::default()
+    };
+    let demo = AppProfile::new("demo", 100.0, 1.0, 0.2, 512.0);
+    let case = "arrivals at 0.0, 3 provisioned, keep-alive 0";
+    let stats = assert_engines_agree(&platform, &demo, &[0.0; 5], &at_zero, case);
+    assert_eq!((stats.cold_starts, stats.warm_starts), (2, 3), "{case}");
+
+    // A zero execution time makes a warm finish equal its start, so
+    // instances settle into the idle sets with equal keys.
+    let instant = AppProfile::new("instant", 0.0, 0.0, 0.0, 128.0);
+    let arrivals = [0.0, 0.0, 0.0, 1.0, 1.0, 2.5, 2.5, 2.5, 2.5, 4.0];
+    for (keep_alive_secs, provisioned, max_concurrency) in [
+        (0.0, 0, None),
+        (0.0, 2, None),
+        (1.0, 1, Some(1)),
+        (60.0, 0, Some(2)),
+    ] {
+        let options = PoolOptions {
+            keep_alive_secs,
+            provisioned,
+            max_concurrency,
+            ..PoolOptions::default()
+        };
+        let case = format!("exec 0, keep-alive {keep_alive_secs}, {provisioned} provisioned, cap {max_concurrency:?}");
+        assert_engines_agree(&platform, &instant, &arrivals, &options, &case);
+    }
 }
 
 #[test]
