@@ -11,16 +11,19 @@
 //! [`Candidate`]. Only `import` lists kept in part are printed per probe.
 //!
 //! [`Prober`] is the one probe function the debloater, the incremental
-//! retrim and the slicer share: probe-cache lookup, selection, the
-//! copy-on-write overlay and the oracle run.
+//! retrim and the slicer share: probe-cache lookup, the run record
+//! (DESIGN.md §18), selection, the copy-on-write overlay and the oracle
+//! run. A module whose probes a run record answers is never indexed: its
+//! prober holds only the attribute ids.
 
 use crate::attributes::{is_magic, module_attributes};
 use crate::debloater::DebloatOptions;
-use crate::oracle::{run_app_measured_opts, Execution, OracleSpec};
+use crate::oracle::{run_oracle, Execution, OracleSpec, RunRecord};
 use crate::probe_cache::{app_fingerprint, ProbeKey};
 use pylite::ast::{Expr, ImportItem, Program, Stmt};
 use pylite::resolved::{RProgram, RStmt};
 use pylite::{Interner, ParseError, Registry};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -33,6 +36,69 @@ pub struct Candidate {
     pub program: Arc<RProgram>,
 }
 
+/// A module's attribute ids: [`module_attributes`] in order, followed by
+/// the dunder names that `import` lists bind. The rewriter drops those
+/// unless the keep set names them, so a raw keep set can reach them.
+pub(crate) struct AttrIds {
+    names: Vec<String>,
+    ids: HashMap<String, u32>,
+    attrs: usize,
+}
+
+impl AttrIds {
+    /// Number the attributes of `program`.
+    pub(crate) fn new(program: &Program) -> AttrIds {
+        let mut names = module_attributes(program);
+        let attrs = names.len();
+        let mut dunders = BTreeSet::new();
+        for stmt in &program.body {
+            for name in list_names(stmt).into_iter().flatten() {
+                if is_magic(name) && dunders.insert(name) {
+                    names.push(name.to_owned());
+                }
+            }
+        }
+        let ids = names
+            .iter()
+            .enumerate()
+            .map(|(id, name)| (name.clone(), id as u32))
+            .collect();
+        AttrIds { names, ids, attrs }
+    }
+
+    /// The module's attributes in first-binding order; attribute `i` has
+    /// id `i`.
+    pub(crate) fn attributes(&self) -> &[String] {
+        &self.names[..self.attrs]
+    }
+
+    /// Every id's name: the attributes, then the dunder names of `import`
+    /// lists.
+    pub(crate) fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// The id of `name`, if the module binds it.
+    pub(crate) fn id(&self, name: &str) -> Option<u32> {
+        self.ids.get(name).copied()
+    }
+
+    /// The keep mask that keeps exactly `ids`.
+    pub(crate) fn mask(&self, ids: impl IntoIterator<Item = u32>) -> Vec<bool> {
+        let mut mask = vec![false; self.names.len()];
+        for id in ids {
+            mask[id as usize] = true;
+        }
+        mask
+    }
+
+    /// The keep mask of a named keep set. Names the module does not bind
+    /// have no id and no effect on the candidate.
+    pub(crate) fn keep_mask<'n>(&self, keep: impl IntoIterator<Item = &'n String>) -> Vec<bool> {
+        self.mask(keep.into_iter().filter_map(|name| self.id(name)))
+    }
+}
+
 /// A module indexed for probing: its top-level statements, printed and
 /// resolved once per DD, retrim or slice run, for keep masks to select
 /// from.
@@ -42,9 +108,7 @@ pub struct Candidate {
 /// the keep set names them, so a raw keep set can reach them.
 pub struct ModuleIndex {
     program: Arc<Program>,
-    names: Vec<String>,
-    ids: HashMap<String, u32>,
-    attrs: usize,
+    ids: AttrIds,
     chunks: Vec<Chunk>,
 }
 
@@ -78,21 +142,7 @@ impl ModuleIndex {
     /// The printed module does not parse back statement for statement (a
     /// printer bug): no candidate could be built from it.
     pub fn new(program: Arc<Program>, interner: Arc<Interner>) -> Result<ModuleIndex, ParseError> {
-        let mut names = module_attributes(&program);
-        let attrs = names.len();
-        let mut dunders = BTreeSet::new();
-        for stmt in &program.body {
-            for name in list_names(stmt).into_iter().flatten() {
-                if is_magic(name) && dunders.insert(name) {
-                    names.push(name.to_owned());
-                }
-            }
-        }
-        let ids: HashMap<String, u32> = names
-            .iter()
-            .enumerate()
-            .map(|(id, name)| (name.clone(), id as u32))
-            .collect();
+        let ids = AttrIds::new(&program);
         let texts: Vec<String> = program.body.iter().map(pylite::unparse_stmt).collect();
         let reparsed = pylite::parse(&texts.concat())?;
         let aligned = reparsed.body.len() == program.body.len()
@@ -115,14 +165,12 @@ impl ModuleIndex {
             .map(|((text, resolved), stmt)| Chunk {
                 text,
                 resolved,
-                rule: rule(stmt, &ids),
+                rule: rule(stmt, &ids.ids),
             })
             .collect();
         Ok(ModuleIndex {
             program,
-            names,
             ids,
-            attrs,
             chunks,
         })
     }
@@ -130,33 +178,29 @@ impl ModuleIndex {
     /// The module's attributes in first-binding order; attribute `i` has
     /// id `i`.
     pub fn attributes(&self) -> &[String] {
-        &self.names[..self.attrs]
+        self.ids.attributes()
     }
 
     /// Every id's name: the attributes, then the dunder names of `import`
     /// lists.
     pub fn names(&self) -> &[String] {
-        &self.names
+        self.ids.names()
     }
 
     /// The id of `name`, if the module binds it.
     pub fn id(&self, name: &str) -> Option<u32> {
-        self.ids.get(name).copied()
+        self.ids.id(name)
     }
 
     /// The keep mask that keeps exactly `ids`.
     pub fn mask(&self, ids: impl IntoIterator<Item = u32>) -> Vec<bool> {
-        let mut mask = vec![false; self.names.len()];
-        for id in ids {
-            mask[id as usize] = true;
-        }
-        mask
+        self.ids.mask(ids)
     }
 
     /// The keep mask of a named keep set. Names the module does not bind
     /// have no id and no effect on the candidate.
     pub fn keep_mask<'n>(&self, keep: impl IntoIterator<Item = &'n String>) -> Vec<bool> {
-        self.mask(keep.into_iter().filter_map(|name| self.id(name)))
+        self.ids.keep_mask(keep)
     }
 
     /// The candidate keeping the attributes whose ids are set in `keep`
@@ -327,57 +371,97 @@ pub(crate) enum Selection<'s> {
 }
 
 /// The probe function of every DD, retrim and slice run over one module.
+///
+/// Every probe overlays the module on the same base registry. A probe
+/// consults the probe cache first, then the prober's run record: the
+/// record handed to [`Prober::new`] when it answers the module's probes,
+/// else the last passing live probe. A record whose run never read the
+/// module answers every later probe with a pass in its seconds
+/// ([`RunRecord::answers_probes`]); otherwise the probe runs live.
 pub(crate) struct Prober<'a> {
-    /// The module's statement index.
-    pub(crate) index: ModuleIndex,
+    base: &'a Registry,
     module: &'a str,
+    index: Indexed,
     app_source: &'a str,
     spec: &'a OracleSpec,
     expected: &'a Execution,
     options: &'a DebloatOptions,
     app_fp: u64,
+    record: RefCell<Option<RunRecord>>,
+}
+
+/// What a prober knows of its module: attribute ids only, when a run
+/// record answers every probe, or the full statement index.
+enum Indexed {
+    Ids(AttrIds),
+    Full(ModuleIndex),
 }
 
 impl<'a> Prober<'a> {
-    /// A prober for `module` of `work`, whose behaviour must match
-    /// `expected`.
+    /// A prober for `module` over `base`, whose behaviour must match
+    /// `expected`. When `record` answers the module's probes, the module
+    /// is not indexed.
     ///
     /// # Errors
     ///
     /// The module does not parse, or cannot be indexed
     /// ([`ModuleIndex::new`]).
     pub(crate) fn new(
-        work: &Registry,
+        base: &'a Registry,
         module: &'a str,
         app_source: &'a str,
         spec: &'a OracleSpec,
         expected: &'a Execution,
         options: &'a DebloatOptions,
+        record: Option<&RunRecord>,
     ) -> Result<Prober<'a>, ParseError> {
-        let program = work.parse_module(module)?;
+        let program = base.parse_module(module)?;
+        let record = record.filter(|record| record.answers_probes(base, module));
+        let index = match record {
+            Some(_) => Indexed::Ids(AttrIds::new(&program)),
+            None => Indexed::Full(ModuleIndex::new(program, Arc::clone(base.interner()))?),
+        };
         Ok(Prober {
-            index: ModuleIndex::new(program, Arc::clone(work.interner()))?,
+            base,
             module,
+            index,
             app_source,
             spec,
             expected,
             options,
             app_fp: app_fingerprint(app_source, spec),
+            record: RefCell::new(record.cloned()),
         })
     }
 
-    /// Run one probe over `base` and return its verdict and the virtual
-    /// seconds its oracle run took (0 for a probe-cache hit). Attribute
-    /// probes consult and fill the probe cache when one is attached.
-    pub(crate) fn probe(&self, base: &Registry, selection: Selection<'_>) -> (bool, f64) {
+    /// The module's attribute ids.
+    pub(crate) fn ids(&self) -> &AttrIds {
+        match &self.index {
+            Indexed::Ids(ids) => ids,
+            Indexed::Full(index) => &index.ids,
+        }
+    }
+
+    /// The prober's last passing run: the record handed in when it
+    /// answered the probes, else the last passing live probe, if any.
+    pub(crate) fn into_record(self) -> Option<RunRecord> {
+        self.record.into_inner()
+    }
+
+    /// Probe one selection of the module and return its verdict and the
+    /// virtual seconds its oracle run took (0 for a probe-cache hit; an
+    /// answered probe takes the record's seconds, which a fresh run would
+    /// take too). Attribute probes consult and fill the probe cache when
+    /// one is attached.
+    pub(crate) fn probe(&self, selection: Selection<'_>) -> (bool, f64) {
         let key = match (&self.options.probe_cache, selection) {
             (Some(_), Selection::Attrs { keep, extra }) => {
-                let kept = self.index.names.iter().zip(keep).filter(|(_, k)| **k);
+                let kept = self.ids().names.iter().zip(keep).filter(|(_, k)| **k);
                 let names = kept
                     .map(|(name, _)| name.clone())
                     .chain(extra.iter().cloned());
                 Some(ProbeKey::new(
-                    base.fingerprint(),
+                    self.base.fingerprint(),
                     self.app_fp,
                     self.module,
                     names,
@@ -390,23 +474,80 @@ impl<'a> Prober<'a> {
                 return (verdict, 0.0);
             }
         }
-        let candidate = match selection {
-            Selection::Attrs { keep, .. } => self.index.select(keep),
-            Selection::Stmts(kept) => self.index.select_stmts(kept),
+        let answered = self
+            .record
+            .borrow()
+            .as_ref()
+            .filter(|record| record.answers_probes(self.base, self.module))
+            .map(RunRecord::secs);
+        let (verdict, secs) = match answered {
+            Some(secs) => {
+                #[cfg(debug_assertions)]
+                self.check_answer(selection, secs);
+                (true, secs)
+            }
+            None => self.run(selection),
         };
-        let overlay = base.with_module_resolved(self.module, candidate.source, candidate.program);
-        let (result, secs) = run_app_measured_opts(
-            &overlay,
-            self.app_source,
-            self.spec,
-            self.options.engine,
-            self.options.init_snapshots,
-        );
-        let verdict = matches!(&result, Ok(actual) if actual.behavior_eq(self.expected));
         if let (Some(cache), Some(key)) = (&self.options.probe_cache, key) {
             cache.insert(key, verdict);
         }
         (verdict, secs)
+    }
+
+    /// Run one probe live; a passing run becomes the prober's record.
+    fn run(&self, selection: Selection<'_>) -> (bool, f64) {
+        let Indexed::Full(index) = &self.index else {
+            unreachable!("a record that answers a module's probes answers all of them")
+        };
+        let candidate = match selection {
+            Selection::Attrs { keep, .. } => index.select(keep),
+            Selection::Stmts(kept) => index.select_stmts(kept),
+        };
+        let overlay =
+            self.base
+                .with_module_resolved(self.module, candidate.source, candidate.program);
+        let run = run_oracle(
+            &overlay,
+            self.app_source,
+            self.spec,
+            self.options.init_snapshots,
+        );
+        let verdict = matches!(&run.result, Ok(actual) if actual.behavior_eq(self.expected));
+        if verdict {
+            *self.record.borrow_mut() = Some(RunRecord::new(overlay, run.secs, run.reads));
+        }
+        (verdict, run.secs)
+    }
+
+    /// Re-run a sample of answered probes fresh, building the candidate
+    /// the way the rewriter and the slicer print it
+    /// ([`crate::oracle::check_answer`]).
+    #[cfg(debug_assertions)]
+    fn check_answer(&self, selection: Selection<'_>, secs: f64) {
+        let candidate = || {
+            let program = self
+                .base
+                .parse_module(self.module)
+                .expect("probed module parses");
+            let candidate = match selection {
+                Selection::Attrs { keep, .. } => {
+                    let kept = self.ids().names.iter().zip(keep).filter(|(_, k)| **k);
+                    let names: BTreeSet<String> = kept.map(|(name, _)| name.clone()).collect();
+                    crate::rewrite::rewrite_module(&program, &names)
+                }
+                Selection::Stmts(kept) => trim_analysis::slice::sliced_program(&program, kept),
+            };
+            self.base
+                .with_module(self.module, pylite::unparse(&candidate))
+        };
+        crate::oracle::check_answer(
+            candidate,
+            self.app_source,
+            self.spec,
+            self.expected,
+            self.options.init_snapshots,
+            secs,
+        );
     }
 }
 

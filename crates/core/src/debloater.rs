@@ -3,7 +3,7 @@
 //! registry.
 
 use crate::candidate::{Prober, Selection};
-use crate::oracle::{run_app_measured_opts, Execution, OracleSpec};
+use crate::oracle::{run_oracle, Execution, OracleSpec, RunRecord};
 use crate::probe_cache::ProbeCache;
 use crate::rewrite::rewrite_module;
 use crate::TrimError;
@@ -175,16 +175,46 @@ pub fn debloat_module(
     must_keep: &BTreeSet<String>,
     options: &DebloatOptions,
 ) -> Result<ModuleReport, TrimError> {
-    let prober =
-        Prober::new(work, module, app_source, spec, expected, options).map_err(TrimError::Parse)?;
-    let attrs = prober.index.attributes();
+    let (report, _) = debloat_step(
+        work, app_source, spec, expected, module, must_keep, options, None,
+    )?;
+    Ok(report)
+}
+
+/// [`debloat_module`] with a run record (DESIGN.md §18): `record`, the
+/// last passing run over `work`, answers the module's probes when it never
+/// read the module. Returns the report and the record of the last passing
+/// run over `work` as it stands afterwards, when one is known.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn debloat_step(
+    work: &mut Registry,
+    app_source: &str,
+    spec: &OracleSpec,
+    expected: &Execution,
+    module: &str,
+    must_keep: &BTreeSet<String>,
+    options: &DebloatOptions,
+    record: Option<RunRecord>,
+) -> Result<(ModuleReport, Option<RunRecord>), TrimError> {
+    let prober = Prober::new(
+        work,
+        module,
+        app_source,
+        spec,
+        expected,
+        options,
+        record.as_ref(),
+    )
+    .map_err(TrimError::Parse)?;
+    let ids = prober.ids();
+    let attrs = ids.attributes().to_vec();
     let attrs_before = attrs.len();
     // Step 3 of §6.3: candidates = all attributes except the definitely
     // accessed ones (magic attributes are already excluded by extraction).
     // DD searches attribute ids; names come back only for the report.
     let (fixed, candidates): (Vec<u32>, Vec<u32>) =
         (0..attrs_before as u32).partition(|&id| must_keep.contains(&attrs[id as usize]));
-    let keep_mask = |subset: &[u32]| prober.index.mask(fixed.iter().chain(subset).copied());
+    let keep_mask = |subset: &[u32]| ids.mask(fixed.iter().chain(subset).copied());
 
     // One probe = one copy-on-write overlay over the working registry: the
     // base's sources and parse results are shared (O(modules) pointer
@@ -195,13 +225,10 @@ pub fn debloat_module(
     let mut spent_nanos = 0u64;
     let mut oracle = |subset: &[u32]| -> bool {
         let keep = keep_mask(subset);
-        let (verdict, secs) = prober.probe(
-            work,
-            Selection::Attrs {
-                keep: &keep,
-                extra: &[],
-            },
-        );
+        let (verdict, secs) = prober.probe(Selection::Attrs {
+            keep: &keep,
+            extra: &[],
+        });
         spent_nanos += (secs * 1e9) as u64;
         verdict
     };
@@ -209,53 +236,13 @@ pub fn debloat_module(
         Algorithm::Ddmin => ddmin_with(&candidates, &mut oracle, options.dd),
         Algorithm::Greedy => greedy_min(&candidates, &mut oracle),
     };
-
     let debloat_secs = spent_nanos as f64 / 1e9;
-    let attrs = attrs.to_vec();
-    match dd_result {
-        Ok(result) => {
-            let keep = keep_mask(&result.minimized);
-            let (kept, removed) = split_kept(&attrs, &keep);
-            let original_source = work.source(module).expect("module has source").to_owned();
-            commit(work, module, &kept);
-            // Defense in depth: re-verify the committed module against the
-            // oracle (the candidate that passed probing also passes here,
-            // but this guards against any rewrite/commit divergence — the
-            // §5.4 philosophy of never making the app worse).
-            let (verify, verify_secs) = run_app_measured_opts(
-                work,
-                app_source,
-                spec,
-                options.engine,
-                options.init_snapshots,
-            );
-            let committed_ok = matches!(&verify, Ok(actual) if actual.behavior_eq(expected));
-            if !committed_ok {
-                work.set_module(module, original_source);
-                return Ok(ModuleReport {
-                    module: module.to_owned(),
-                    attrs_before,
-                    attrs_after: attrs_before,
-                    removed: Vec::new(),
-                    kept: attrs,
-                    dd_stats: result.stats,
-                    debloat_secs: debloat_secs + verify_secs,
-                });
-            }
-            Ok(ModuleReport {
-                module: module.to_owned(),
-                attrs_before,
-                attrs_after: kept.len(),
-                removed,
-                kept,
-                dd_stats: result.stats,
-                debloat_secs: debloat_secs + verify_secs,
-            })
-        }
+    let result = match dd_result {
+        Ok(result) => result,
         Err(trim_dd::DdError::OracleRejectsWhole) => {
             // The untouched module somehow fails — leave it alone (§5.4's
             // philosophy: never make the app worse).
-            Ok(ModuleReport {
+            let report = ModuleReport {
                 module: module.to_owned(),
                 attrs_before,
                 attrs_after: attrs_before,
@@ -263,9 +250,62 @@ pub fn debloat_module(
                 kept: attrs,
                 dd_stats: DdStats::default(),
                 debloat_secs,
-            })
+            };
+            return Ok((report, record));
         }
+    };
+    let (kept, removed) = split_kept(&attrs, &keep_mask(&result.minimized));
+    let last = prober.into_record();
+    let original_source = work.source(module).expect("module has source").to_owned();
+    commit(work, module, &kept);
+    // Defense in depth: re-verify the committed module against the oracle
+    // (the candidate that passed probing also passes here, but this guards
+    // against any rewrite/commit divergence — the §5.4 philosophy of never
+    // making the app worse). The last passing probe answers the verify
+    // when it ran the committed registry or never read the module.
+    let (committed_ok, verify_secs, after) = match last.filter(|last| last.answers(work, module)) {
+        Some(last) => {
+            #[cfg(debug_assertions)]
+            crate::oracle::check_answer(
+                || work.clone(),
+                app_source,
+                spec,
+                expected,
+                options.init_snapshots,
+                last.secs(),
+            );
+            (true, last.secs(), Some(last.moved_to(work)))
+        }
+        None => {
+            let run = run_oracle(work, app_source, spec, options.init_snapshots);
+            let ok = matches!(&run.result, Ok(actual) if actual.behavior_eq(expected));
+            let after = ok.then(|| RunRecord::new(work.clone(), run.secs, run.reads));
+            (ok, run.secs, after)
+        }
+    };
+    if !committed_ok {
+        work.set_module(module, original_source);
+        let report = ModuleReport {
+            module: module.to_owned(),
+            attrs_before,
+            attrs_after: attrs_before,
+            removed: Vec::new(),
+            kept: attrs,
+            dd_stats: result.stats,
+            debloat_secs: debloat_secs + verify_secs,
+        };
+        return Ok((report, record));
     }
+    let report = ModuleReport {
+        module: module.to_owned(),
+        attrs_before,
+        attrs_after: kept.len(),
+        removed,
+        kept,
+        dd_stats: result.stats,
+        debloat_secs: debloat_secs + verify_secs,
+    };
+    Ok((report, after))
 }
 
 /// Split `attrs` into the kept and the removed names under `keep`, both in

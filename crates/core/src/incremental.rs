@@ -148,9 +148,9 @@ pub fn retrim_with_log(
         if !work.contains(module) {
             continue;
         }
-        let prober = Prober::new(&work, module, app_source, spec, &before, options)
+        let prober = Prober::new(&work, module, app_source, spec, &before, options, None)
             .map_err(TrimError::Parse)?;
-        let attrs = prober.index.attributes().to_vec();
+        let attrs = prober.ids().attributes().to_vec();
         // Same recompute-on-work rule as the cold pipeline: committed trims
         // release the must-keeps their import lines induced.
         let must_keep = match options.analysis {
@@ -161,7 +161,7 @@ pub fn retrim_with_log(
         // Probe the seed: previous kept set ∩ current attrs ∪ must-keep.
         // Must-keep names the module does not bind still enter the probe's
         // cache key, exactly as the named keep set would.
-        let index = &prober.index;
+        let index = prober.ids();
         let seed: BTreeSet<String> = prev_kept
             .iter()
             .filter(|a| index.id(a).is_some_and(|id| (id as usize) < attrs.len()))
@@ -178,13 +178,10 @@ pub fn retrim_with_log(
         // base-registry fingerprint, app fingerprint, module and keep-set.
         // An untouched module therefore answers its probes straight from a
         // shared [`crate::ProbeCache`] populated by the previous run.
-        let (seed_ok, _) = prober.probe(
-            &work,
-            Selection::Attrs {
-                keep: &seed_mask,
-                extra: &unbound,
-            },
-        );
+        let (seed_ok, _) = prober.probe(Selection::Attrs {
+            keep: &seed_mask,
+            extra: &unbound,
+        });
         oracle_invocations += 1;
 
         // Fixed: the must-keep attributes, all inside the seed. DD searches
@@ -202,13 +199,10 @@ pub fn retrim_with_log(
         let mut spent = 0.0f64;
         let mut oracle = |subset: &[u32]| {
             let keep = keep_mask(subset);
-            let (ok, secs) = prober.probe(
-                &work,
-                Selection::Attrs {
-                    keep: &keep,
-                    extra: &[],
-                },
-            );
+            let (ok, secs) = prober.probe(Selection::Attrs {
+                keep: &keep,
+                extra: &[],
+            });
             spent += secs;
             ok
         };

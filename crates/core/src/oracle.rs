@@ -9,7 +9,8 @@
 //! because instances are stateless).
 
 use pylite::ast::Expr;
-use pylite::{parse_expr, py_repr, Engine, ExcKind, Interpreter, PyErr, Registry, Value};
+use pylite::{parse_expr, py_repr, Engine, ExcKind, Interpreter, PyErr, ReadSet, Registry, Value};
+use std::sync::Arc;
 
 /// One oracle test case: the JSON-like event and the invocation context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,13 +191,162 @@ pub fn run_app_measured_opts(
     _engine: Engine,
     init_snapshots: bool,
 ) -> (Result<Execution, PyErr>, f64) {
+    let run = run_oracle(registry, app_source, spec, init_snapshots);
+    (run.result, run.secs)
+}
+
+/// One finished oracle run: its outcome, the virtual seconds it took
+/// regardless of success, and the registry modules it read
+/// ([`Interpreter::read_set`]).
+pub(crate) struct OracleRun {
+    pub(crate) result: Result<Execution, PyErr>,
+    pub(crate) secs: f64,
+    pub(crate) reads: ReadSet,
+}
+
+/// [`run_app_measured_opts`] that also reports what the run read: the one
+/// function every oracle run goes through, and the one [`oracle_runs`]
+/// counts.
+pub(crate) fn run_oracle(
+    registry: &Registry,
+    app_source: &str,
+    spec: &OracleSpec,
+    init_snapshots: bool,
+) -> OracleRun {
+    #[cfg(debug_assertions)]
+    ORACLE_RUNS.with(|runs| runs.set(runs.get() + 1));
+    fresh_run(registry, app_source, spec, init_snapshots)
+}
+
+fn fresh_run(
+    registry: &Registry,
+    app_source: &str,
+    spec: &OracleSpec,
+    init_snapshots: bool,
+) -> OracleRun {
     let mut interp = Interpreter::new(registry.clone());
     if init_snapshots {
         interp.enable_init_snapshots();
     }
     let result = run_app_inner(&mut interp, app_source, spec);
-    let spent = interp.meter.clock_secs();
-    (result, spent)
+    OracleRun {
+        result,
+        secs: interp.meter.clock_secs(),
+        reads: interp.read_set().clone(),
+    }
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static ORACLE_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static ANSWERS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The number of oracle runs started on the calling thread (debug builds
+/// only): every `run_app*` call and every baseline, probe, verify and
+/// final run of a trim. Runs a run record answers (DESIGN.md §18) start
+/// no interpreter and are not counted. A trim makes all its oracle runs on the calling
+/// thread, so tests read the count around whole pipeline calls.
+#[cfg(debug_assertions)]
+pub fn oracle_runs() -> u64 {
+    ORACLE_RUNS.with(std::cell::Cell::get)
+}
+
+/// The last passing oracle run over a registry: the registry it ran on,
+/// its virtual seconds and the modules it read.
+///
+/// A run's outcome depends on the registry only through the contents of
+/// the modules it read and through which names the registry holds. So a
+/// record answers, with a pass and its own seconds, a run over any
+/// registry that has its fingerprint, or that holds the same names and
+/// differs from its registry only in one module the run never read
+/// ([`RunRecord::answers`]). While init snapshots are on, this rests on
+/// replay being indistinguishable from live execution.
+#[derive(Debug, Clone)]
+pub(crate) struct RunRecord {
+    registry: Registry,
+    secs: f64,
+    reads: Arc<ReadSet>,
+}
+
+impl RunRecord {
+    /// The record of a passing run over `registry`.
+    pub(crate) fn new(registry: Registry, secs: f64, reads: ReadSet) -> RunRecord {
+        RunRecord {
+            registry,
+            secs,
+            reads: Arc::new(reads),
+        }
+    }
+
+    /// The virtual seconds the run took.
+    pub(crate) fn secs(&self) -> f64 {
+        self.secs
+    }
+
+    /// Whether this run answers every run over `base` with `module`
+    /// replaced: the run never read `module`, and its registry and `base`
+    /// both hold `module` and agree on every other module.
+    pub(crate) fn answers_probes(&self, base: &Registry, module: &str) -> bool {
+        let read = self
+            .registry
+            .interner()
+            .lookup(module)
+            .is_some_and(|name| self.reads.contains(&name));
+        let rest = without(&self.registry, module);
+        !read && rest.is_some() && rest == without(base, module)
+    }
+
+    /// Whether this run answers a run over `registry`, which differs from
+    /// the record's registry at most in `module`: the two have the same
+    /// fingerprint, or [`answers_probes`](RunRecord::answers_probes) holds.
+    pub(crate) fn answers(&self, registry: &Registry, module: &str) -> bool {
+        self.registry.fingerprint() == registry.fingerprint()
+            || self.answers_probes(registry, module)
+    }
+
+    /// This record as the record of the run over `registry`, which it
+    /// [answers](RunRecord::answers).
+    pub(crate) fn moved_to(self, registry: &Registry) -> RunRecord {
+        RunRecord {
+            registry: registry.clone(),
+            ..self
+        }
+    }
+}
+
+/// `registry`'s fingerprint with `module`'s hash taken out, if it holds
+/// `module` (the fingerprint is a wrapping sum of per-module hashes).
+fn without(registry: &Registry, module: &str) -> Option<u64> {
+    let hash = registry.module_fingerprint(module)?;
+    Some(registry.fingerprint().wrapping_sub(hash))
+}
+
+/// Debug builds re-run every eighth answered run fresh on the calling
+/// thread and assert that it passes in exactly the answered seconds.
+/// `registry` builds the registry the answered run stood for; it is only
+/// called for the sampled answers. Sampled runs are not counted in
+/// [`oracle_runs`].
+#[cfg(debug_assertions)]
+pub(crate) fn check_answer(
+    registry: impl FnOnce() -> Registry,
+    app_source: &str,
+    spec: &OracleSpec,
+    expected: &Execution,
+    init_snapshots: bool,
+    secs: f64,
+) {
+    let answers = ANSWERS.with(|n| n.replace(n.get() + 1));
+    if !answers.is_multiple_of(8) {
+        return;
+    }
+    let run = fresh_run(&registry(), app_source, spec, init_snapshots);
+    let passes = matches!(&run.result, Ok(actual) if actual.behavior_eq(expected));
+    assert!(
+        passes && run.secs.to_bits() == secs.to_bits(),
+        "an answered run must equal a fresh one: fresh run passes={passes} in {}s, answered {secs}s",
+        run.secs
+    );
 }
 
 fn run_app_inner(

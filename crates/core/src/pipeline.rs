@@ -1,9 +1,9 @@
 //! The end-to-end λ-trim pipeline (§4, Figure 3): static analyzer →
 //! cost profiler → DD debloater, producing a deployable trimmed registry.
 
-use crate::debloater::{debloat_module, DebloatOptions, HazardMode, ModuleReport};
-use crate::oracle::{run_app_opts, Execution, OracleSpec};
-use crate::slicer::{slice_modules, SliceReport};
+use crate::debloater::{debloat_step, DebloatOptions, HazardMode, ModuleReport};
+use crate::oracle::{run_app_opts, run_oracle, Execution, OracleSpec, RunRecord};
+use crate::slicer::{slice_step, SliceReport};
 use crate::TrimError;
 use pylite::Registry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -101,15 +101,17 @@ pub fn trim_app(
         ));
     }
     // 1. Baseline run (with init snapshots when enabled, warming the
-    //    registry family's shared snapshot store for the DD probes).
-    let before = run_app_opts(
-        registry,
-        app_source,
-        spec,
-        options.engine,
-        options.init_snapshots,
-    )
-    .map_err(TrimError::Baseline)?;
+    //    registry family's shared snapshot store for the DD probes). It
+    //    seeds the run record (DESIGN.md §18): the last passing run over
+    //    the working registry, which answers every probe and verify of a
+    //    module it never read.
+    let baseline = run_oracle(registry, app_source, spec, options.init_snapshots);
+    let before = baseline.result.map_err(TrimError::Baseline)?;
+    let mut record = Some(RunRecord::new(
+        registry.clone(),
+        baseline.secs,
+        baseline.reads,
+    ));
 
     // 2. Static analysis: accesses, call graph, lints and hazard routing.
     // All analysis runs in this pipeline share one summary cache (the
@@ -189,9 +191,10 @@ pub fn trim_app(
             must_keep.extend(attrs.iter().cloned());
             pinned_hazard_attrs.insert(module.clone(), attrs);
         }
-        let report = debloat_module(
-            &mut work, app_source, spec, &before, module, &must_keep, options,
+        let (report, after) = debloat_step(
+            &mut work, app_source, spec, &before, module, &must_keep, options, record,
         )?;
+        record = after;
         modules.push(report);
     }
 
@@ -203,7 +206,7 @@ pub fn trim_app(
     let slices = if options.slice_init {
         let candidates: Vec<String> = modules.iter().map(|m| m.module.clone()).collect();
         let hazard_set: BTreeSet<String> = full.hazard_attrs.keys().cloned().collect();
-        slice_modules(
+        slice_step(
             &mut work,
             app_source,
             spec,
@@ -211,6 +214,7 @@ pub fn trim_app(
             &candidates,
             &hazard_set,
             options,
+            record,
         )?
     } else {
         Vec::new()
@@ -590,5 +594,229 @@ mod tests {
         let r = corpus();
         let report = trim_app(&r, APP, &spec(), &DebloatOptions::default()).unwrap();
         assert!(report.trimmed.total_source_bytes() <= r.total_source_bytes());
+    }
+}
+
+/// The run record (DESIGN.md §18): which probes and verifies a trim
+/// answers without starting an interpreter, counted with the debug-build
+/// [`crate::oracle::oracle_runs`].
+#[cfg(all(test, debug_assertions))]
+mod record_tests {
+    use super::*;
+    use crate::debloater::debloat_module;
+    use crate::oracle::{oracle_runs, TestCase};
+    use crate::probe_cache::ProbeCache;
+    use crate::slicer::slice_modules;
+
+    /// `a` is the only importer of `b`, through `g`, which the app never
+    /// calls: once `a` is committed, the app stops importing `b`.
+    fn registry(h_body: &str) -> Registry {
+        let mut r = Registry::new();
+        r.set_module(
+            "a",
+            "import b\ndef f(x):\n    return x + 1\ndef g(x):\n    return b.h(x)\n",
+        );
+        r.set_module(
+            "b",
+            format!("__lt_work__(30)\ndef h(x):\n    {h_body}\ndef k(x):\n    return x\n"),
+        );
+        r
+    }
+
+    const APP: &str = "import a\ndef handler(event, context):\n    return a.f(event[\"n\"])\n";
+
+    fn spec() -> OracleSpec {
+        OracleSpec::new(vec![TestCase::event("{\"n\": 1}")])
+    }
+
+    /// The baseline behaviour of `app` over `r`, and its run record.
+    fn baseline(r: &Registry, app: &str, options: &DebloatOptions) -> (Execution, RunRecord) {
+        let run = run_oracle(r, app, &spec(), options.init_snapshots);
+        let before = run.result.expect("baseline passes");
+        (before, RunRecord::new(r.clone(), run.secs, run.reads))
+    }
+
+    /// `step`'s result and the oracle runs it started.
+    fn counted<T>(step: impl FnOnce() -> T) -> (T, u64) {
+        let start = oracle_runs();
+        let out = step();
+        (out, oracle_runs() - start)
+    }
+
+    /// What trimming `b` after `a` gives: `b`'s DD report and slice
+    /// reports, the oracle runs each made, and the registries they
+    /// started from.
+    struct DeadTarget {
+        dd: ModuleReport,
+        dd_runs: u64,
+        at_dd: Registry,
+        slices: Vec<SliceReport>,
+        slice_runs: u64,
+        at_slice: Registry,
+        after: Registry,
+    }
+
+    fn trim_a_then_b(h_body: &str, options: &DebloatOptions) -> DeadTarget {
+        let none = BTreeSet::new();
+        let mut work = registry(h_body);
+        let (before, record) = baseline(&work, APP, options);
+        let (a, record) = debloat_step(
+            &mut work,
+            APP,
+            &spec(),
+            &before,
+            "a",
+            &none,
+            options,
+            Some(record),
+        )
+        .unwrap();
+        assert!(a.removed.contains(&"b".to_owned()), "a stops importing b");
+        let at_dd = work.clone();
+        let ((dd, record), dd_runs) = counted(|| {
+            let b = "b";
+            debloat_step(&mut work, APP, &spec(), &before, b, &none, options, record).unwrap()
+        });
+        let at_slice = work.clone();
+        let b = ["b".to_owned()];
+        let (slices, slice_runs) = counted(|| {
+            slice_step(&mut work, APP, &spec(), &before, &b, &none, options, record).unwrap()
+        });
+        DeadTarget {
+            dd,
+            dd_runs,
+            at_dd,
+            slices,
+            slice_runs,
+            at_slice,
+            after: work,
+        }
+    }
+
+    #[test]
+    fn a_dead_target_makes_no_runs_and_matches_the_public_calls() {
+        let options = DebloatOptions::default();
+        let dead = trim_a_then_b("return x * 2", &options);
+        assert_eq!(dead.dd_runs, 0, "b's DD and verify are answered");
+        assert_eq!(dead.slice_runs, 0, "b's slice probes are answered");
+        assert!(dead.dd.dd_stats.oracle_invocations > 1);
+        assert!(dead.dd.debloat_secs > 0.0);
+        assert!(dead.slices[0].oracle_invocations > 0);
+        assert_eq!(dead.slices[0].stmts_removed(), 1, "the dead init goes");
+
+        // Without a record, the first probe runs and never reads `b`: it
+        // answers the rest, and the verify.
+        let (before, _) = baseline(&registry("return x * 2"), APP, &options);
+        let none = BTreeSet::new();
+        let mut public = dead.at_dd.clone();
+        let (report, runs) = counted(|| {
+            debloat_module(&mut public, APP, &spec(), &before, "b", &none, &options).unwrap()
+        });
+        assert_eq!(runs, 1);
+        assert_eq!(report, dead.dd);
+        assert_eq!(public, dead.at_slice);
+        let b = ["b".to_owned()];
+        let (slices, runs) = counted(|| {
+            slice_modules(&mut public, APP, &spec(), &before, &b, &none, &options).unwrap()
+        });
+        assert_eq!(runs, 1);
+        assert_eq!(slices, dead.slices);
+        assert_eq!(public, dead.after);
+    }
+
+    #[test]
+    fn editing_a_dead_target_changes_no_verdict_and_no_seconds() {
+        for options in [
+            DebloatOptions::default(),
+            DebloatOptions {
+                init_snapshots: false,
+                ..DebloatOptions::default()
+            },
+        ] {
+            let doubled = trim_a_then_b("return x * 2", &options);
+            let edited = trim_a_then_b("return [x, x + 1, str(x)]", &options);
+            assert_ne!(doubled.at_dd, edited.at_dd);
+            assert_eq!(doubled.dd, edited.dd);
+            assert_eq!(doubled.slices, edited.slices);
+        }
+    }
+
+    #[test]
+    fn targets_read_through_replay_or_eviction_are_never_answered() {
+        let options = DebloatOptions::default();
+        let none = BTreeSet::new();
+        // `c` loads only inside `lib`'s snapshot when the baseline replays.
+        let mut replayed = Registry::new();
+        replayed.set_module("lib", "import c\ndef go(x):\n    return c.one() + x\n");
+        replayed.set_module("c", "def one():\n    return 1\ndef two():\n    return 2\n");
+        let app = "import lib\ndef handler(event, context):\n    return lib.go(event[\"n\"])\n";
+        // A trimmed `c` that `try` imports and evicts: its body raises.
+        let mut evicted = Registry::new();
+        evicted.set_module(
+            "c",
+            "x = 1\ndef one():\n    return 1\nraise ValueError(\"no\")\n",
+        );
+        let evicting = "try:\n    import c\nexcept ValueError:\n    pass\ndef handler(event, context):\n    return event[\"n\"]\n";
+        for (registry, app) in [(replayed, app), (evicted, evicting)] {
+            baseline(&registry, app, &options);
+            let (before, record) = baseline(&registry, app, &options);
+            if app.contains("lib") {
+                assert!(registry.snapshot_store().stats().hits >= 1, "lib replays");
+            }
+            assert!(!record.answers_probes(&registry, "c"));
+            let mut work = registry.clone();
+            let ((report, _), runs) = counted(|| {
+                let c = "c";
+                let record = Some(record);
+                debloat_step(&mut work, app, &spec(), &before, c, &none, &options, record).unwrap()
+            });
+            assert!(
+                runs >= report.dd_stats.oracle_invocations,
+                "every probe ran"
+            );
+            assert!(!report.removed.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_verify_runs_when_the_last_passing_probe_is_not_the_committed_registry() {
+        let none = BTreeSet::new();
+        let plain_options = DebloatOptions::default();
+        let mut plain = registry("return x * 2");
+        let (before, record) = baseline(&plain, APP, &plain_options);
+        let step = |work: &mut Registry, record, options: &DebloatOptions| {
+            debloat_step(work, APP, &spec(), &before, "a", &none, options, record).unwrap()
+        };
+        let (plain_report, _) = step(&mut plain, Some(record), &plain_options);
+        // A cache that knows only that the committed keep set passes: DD
+        // takes it from the cache, so the last passing live probe ran
+        // another candidate, and the verify must run.
+        let cache = ProbeCache::shared();
+        let mut work = registry("return x * 2");
+        let kept = plain_report.kept.iter().cloned();
+        let app_fp = crate::probe_cache::app_fingerprint(APP, &spec());
+        let key = crate::probe_cache::ProbeKey::new(work.fingerprint(), app_fp, "a", kept);
+        cache.insert(key, true);
+        let options = DebloatOptions {
+            probe_cache: Some(cache.clone()),
+            ..DebloatOptions::default()
+        };
+        let (_, record) = baseline(&work, APP, &options);
+        let ((report, after), runs) = counted(|| step(&mut work, Some(record), &options));
+        assert_eq!(
+            cache.hits(),
+            1,
+            "the committed keep set came from the cache"
+        );
+        let live_probes = report.dd_stats.oracle_invocations - cache.hits();
+        assert_eq!(
+            runs,
+            live_probes + 1,
+            "every other probe and the verify ran"
+        );
+        assert_eq!(report.kept, plain_report.kept);
+        assert_eq!(work, plain);
+        let after = after.expect("a passing verify becomes the record");
+        assert!(after.answers(&work, "a"));
     }
 }

@@ -20,7 +20,7 @@
 use crate::attributes::module_attributes;
 use crate::candidate::{Prober, Selection};
 use crate::debloater::DebloatOptions;
-use crate::oracle::{Execution, OracleSpec};
+use crate::oracle::{Execution, OracleSpec, RunRecord};
 use crate::TrimError;
 use pylite::Registry;
 use std::collections::BTreeSet;
@@ -77,6 +77,32 @@ pub fn slice_modules(
     hazard_modules: &BTreeSet<String>,
     options: &DebloatOptions,
 ) -> Result<Vec<SliceReport>, TrimError> {
+    slice_step(
+        work,
+        app_source,
+        spec,
+        expected,
+        candidates,
+        hazard_modules,
+        options,
+        None,
+    )
+}
+
+/// [`slice_modules`] with a run record (DESIGN.md §18): `record`, the last
+/// passing run over `work`, answers the probes of every module it never
+/// read, and follows `work` from commit to commit while it can.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn slice_step(
+    work: &mut Registry,
+    app_source: &str,
+    spec: &OracleSpec,
+    expected: &Execution,
+    candidates: &[String],
+    hazard_modules: &BTreeSet<String>,
+    options: &DebloatOptions,
+    mut record: Option<RunRecord>,
+) -> Result<Vec<SliceReport>, TrimError> {
     let mut reports = Vec::with_capacity(candidates.len());
     for module in candidates {
         if !work.contains(module) {
@@ -107,10 +133,18 @@ pub fn slice_modules(
         let mut invocations = 0u64;
         // One probe = one copy-on-write overlay, exactly like a DD probe:
         // the sliced module replaces the module, everything else is shared.
-        let prober = Prober::new(work, module, app_source, spec, expected, options)
-            .map_err(TrimError::Parse)?;
-        let mut probe = |kept: &[usize], base: &Registry| -> bool {
-            let (verdict, s) = prober.probe(base, Selection::Stmts(kept));
+        let prober = Prober::new(
+            work,
+            module,
+            app_source,
+            spec,
+            expected,
+            options,
+            record.as_ref(),
+        )
+        .map_err(TrimError::Parse)?;
+        let mut probe = |kept: &[usize]| -> bool {
+            let (verdict, s) = prober.probe(Selection::Stmts(kept));
             secs += s;
             invocations += 1;
             verdict
@@ -118,7 +152,7 @@ pub fn slice_modules(
 
         let mut refined = false;
         let mut fell_back = false;
-        let committed: Option<Vec<usize>> = if probe(&slice.kept, work) {
+        let committed: Option<Vec<usize>> = if probe(&slice.kept) {
             Some(slice.kept.clone())
         } else {
             // The static slice overshot (a dropped statement mattered after
@@ -130,7 +164,7 @@ pub fn slice_modules(
             let mut oracle = |dropped: &[usize]| -> bool {
                 let drop: BTreeSet<usize> = dropped.iter().copied().collect();
                 let kept: Vec<usize> = (0..total).filter(|i| !drop.contains(i)).collect();
-                probe(&kept, work)
+                probe(&kept)
             };
             match ddmax_with(&droppable, &mut oracle, options.dd) {
                 Ok(result) if !result.minimized.is_empty() => {
@@ -145,9 +179,16 @@ pub fn slice_modules(
                 }
             }
         };
+        let last = prober.into_record();
         if let Some(kept) = &committed {
-            // Commit the exact source the passing probe ran.
+            // Commit the exact source the passing probe ran. The last
+            // passing probe stays the record when it ran the committed
+            // registry or never read the module; after a ddmax commit it
+            // usually ran another slice, and the record is dropped.
             work.set_module(module, pylite::unparse(&sliced_program(&program, kept)));
+            record = last
+                .filter(|last| last.answers(work, module))
+                .map(|last| last.moved_to(work));
         }
         reports.push(SliceReport {
             module: module.clone(),
@@ -265,15 +306,15 @@ mod tests {
         // level instead — the maximal droppable subset keeps seq and limit.
         let spec = spec();
         let options = DebloatOptions::default();
-        let prober = Prober::new(&work, "tricky", app, &spec, &expected, &options).unwrap();
-        let probe = |kept: &[usize], base: &Registry| prober.probe(base, Selection::Stmts(kept)).0;
-        assert!(!probe(&slice.kept, &work), "narrow slice breaks the app");
+        let prober = Prober::new(&work, "tricky", app, &spec, &expected, &options, None).unwrap();
+        let probe = |kept: &[usize]| prober.probe(Selection::Stmts(kept)).0;
+        assert!(!probe(&slice.kept), "narrow slice breaks the app");
         let droppable = slice.dropped();
         let total = slice.total;
         let mut oracle = |dropped: &[usize]| -> bool {
             let drop: BTreeSet<usize> = dropped.iter().copied().collect();
             let kept: Vec<usize> = (0..total).filter(|i| !drop.contains(i)).collect();
-            probe(&kept, &work)
+            probe(&kept)
         };
         let refined = ddmax_with(&droppable, &mut oracle, Default::default()).unwrap();
         let drop: BTreeSet<usize> = refined.minimized.iter().copied().collect();

@@ -138,6 +138,8 @@ enum Insn {
     DelName(Symbol),
     /// `del obj.attr`: pop the object and delete the attribute.
     DelAttr(Symbol),
+    /// `del obj[key]`: pop key then object and delete the item.
+    DelItem,
     /// `del` of any other target.
     InvalidDel,
     /// Declare a name `global` in the current environment.
@@ -677,6 +679,11 @@ impl Compiler {
                 RExpr::Attribute { value, attr, .. } => {
                     self.expr(b, value);
                     b.emit(Insn::DelAttr(*attr));
+                }
+                RExpr::Subscript { value, index } => {
+                    self.expr(b, value);
+                    self.expr(b, index);
+                    b.emit(Insn::DelItem);
                 }
                 _ => b.emit(Insn::InvalidDel),
             },
@@ -1253,6 +1260,11 @@ impl Interpreter {
                     let obj = frame.stack.pop().expect("DelAttr object");
                     self.del_attr(&obj, *attr)?;
                 }
+                Insn::DelItem => {
+                    let idx = frame.stack.pop().expect("DelItem index");
+                    let obj = frame.stack.pop().expect("DelItem object");
+                    self.del_item(&obj, &idx)?;
+                }
                 Insn::InvalidDel => return Err(PyErr::type_error("unsupported del target")),
                 Insn::Global(sym) => {
                     env.global_decls.insert(*sym);
@@ -1687,14 +1699,39 @@ mod tests {
         agree("del never_bound\n");
         agree("del undefined_object.attr\n");
         agree("n = 5\ndel n.real\n");
-        agree("xs = [1, 2]\ndel xs[0]\n");
         agree("def f():\n    del local_missing\nf()\n");
+        for (source, error) in [
+            ("d = {\"a\": 1}\ndel d[\"b\"]\n", "KeyError"),
+            ("xs = [1, 2]\ndel xs[2]\n", "IndexError"),
+            ("xs = [1, 2]\ndel xs[-3]\n", "IndexError"),
+            ("xs = [1, 2]\ndel xs[\"a\"]\n", "indices must be integers"),
+            (
+                "t = (1, 2)\ndel t[0]\n",
+                "'tuple' object doesn't support item deletion",
+            ),
+            (
+                "s = \"ab\"\ndel s[0]\n",
+                "'str' object doesn't support item deletion",
+            ),
+            ("xs = [1, 2]\ndel xs[0:1]\n", "unsupported del target"),
+        ] {
+            let err = agree(source).result.unwrap_err();
+            assert!(err.contains(error), "{source:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn del_of_a_subscript_removes_the_item() {
+        let out = agree(
+            "d = {\"a\": 1, \"b\": 2, 3: 4}\ndel d[\"a\"]\ndel d[3]\nxs = [1, 2, 3, 4]\ndel xs[0]\ndel xs[-1]\nprint(d, xs, len(d), len(xs))\n",
+        );
+        assert_eq!(out.stdout, ["{\"b\": 2} [2, 3] 1 2"]);
     }
 
     #[test]
     fn integer_edge_cases_wrap_on_both_engines() {
         let out = agree(
-            "m = -9223372036854775807 - 1\nprint(m // -1, m % -1, 3 ** 50, -m, abs(m))\nprint(range(9223372036854775800, 9223372036854775807, 2))\nprint(range(-9223372036854775800, m, -3))\nprint(len('ab' * 5000000), [] * 9223372036854775807, '' * 9223372036854775807, [1] * -3)\n",
+            "m = -9223372036854775807 - 1\nprint(m // -1, m % -1, 3 ** 50, -m, abs(m))\nprint(range(9223372036854775800, 9223372036854775807, 2))\nprint(range(-9223372036854775800, m, -3))\nprint(len('ab' * 5000000), [] * 9223372036854775807, '' * 9223372036854775807, [1] * -3)\nprint(int(1e300), int(9.3e18), int(-1e19), int(-2.5), int(1.7e38), int(-1.7e38))\n",
         );
         assert_eq!(
             out.stdout,
@@ -1703,8 +1740,26 @@ mod tests {
                 "[9223372036854775800, 9223372036854775802, 9223372036854775804, 9223372036854775806]",
                 "[-9223372036854775800, -9223372036854775803, -9223372036854775806]",
                 "10000000 []  []",
+                "0 -9146744073709551616 8446744073709551616 -2 0 0",
             ]
         );
+        for (source, error) in [
+            ("int(float(\"nan\"))", "cannot convert float NaN to integer"),
+            (
+                "int(float(\"inf\"))",
+                "cannot convert float infinity to integer",
+            ),
+            (
+                "int(float(\"-inf\"))",
+                "cannot convert float infinity to integer",
+            ),
+        ] {
+            let err = agree(&format!("x = {source}\n")).result.unwrap_err();
+            assert!(
+                err.contains("ValueError") && err.contains(error),
+                "{source}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -316,7 +316,13 @@ pub struct Interpreter {
     /// and replay; the oracle enables it so DD probes can reuse module-body
     /// executions via the registry's shared [`crate::snapshot::SnapshotStore`].
     snap: Option<Box<SnapRecorder>>,
+    /// The registry modules this run read (see [`Interpreter::read_set`]).
+    reads: ReadSet,
 }
+
+/// The registry modules one run read, as symbols of the registry
+/// family's interner.
+pub type ReadSet = HashSet<Symbol, SymbolHashBuilder>;
 
 impl std::fmt::Debug for CommonSyms {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -375,6 +381,7 @@ impl Interpreter {
             ic_stats: None,
             vm_frames: Vec::new(),
             snap: None,
+            reads: ReadSet::default(),
         }
     }
 
@@ -442,6 +449,26 @@ impl Interpreter {
                 .insert(self.interner.resolve(*attr).to_string());
         }
         out
+    }
+
+    /// The registry modules this run has read so far, as interned names:
+    /// every module whose import reached the registry's content (loaded
+    /// live, replayed from a snapshot, or evicted after its body or its
+    /// parse failed), and every module whose fingerprint snapshot replay
+    /// compared while it was not loaded. A run's outcome depends on the
+    /// registry only through these modules' contents and through which
+    /// names the registry holds: a module outside the set could be
+    /// replaced by any other text without changing the run.
+    pub fn read_set(&self) -> &ReadSet {
+        &self.reads
+    }
+
+    /// Note that this run read `name`'s content from the registry, and
+    /// return `name`'s symbol.
+    fn note_read(&mut self, name: &str) -> Symbol {
+        let sym = self.interner.intern(name);
+        self.reads.insert(sym);
+        sym
     }
 
     /// Execute a program as the `__main__` module and return its module
@@ -562,6 +589,9 @@ impl Interpreter {
         if let Some(p) = &parent {
             self.import_module(p)?;
         }
+        // From here on the import depends on the module's content: its
+        // fingerprint (replay) or its text (compile and run).
+        let name_sym = self.note_read(dotted);
         if self.snap.is_some() {
             if let Some(m) = self.try_replay_import(dotted) {
                 self.bind_into_parent(&parent, dotted, &m);
@@ -577,7 +607,7 @@ impl Interpreter {
         self.meter.alloc(self.cost.module_base_bytes);
         let module = Rc::new(ModuleObj {
             name: dotted.to_owned(),
-            name_sym: self.interner.intern(dotted),
+            name_sym,
             tracked: true,
             ns: Namespace::new(),
         });
@@ -920,11 +950,16 @@ impl Interpreter {
             if self.meter.steps.saturating_add(entry.steps) > self.step_limit {
                 continue;
             }
+            // Every dependency compared here is read, matching or not:
+            // which entry replays depends on its content. `deps` starts
+            // with `dotted`, and a replayed entry loads exactly its deps,
+            // so this also covers every module `commit_replay` loads.
             for (dep, fp) in &entry.deps {
-                if self.modules.contains(dep)
-                    || store.is_denied(dep)
-                    || self.registry.module_fingerprint(dep) != Some(*fp)
-                {
+                if self.modules.contains(dep) || store.is_denied(dep) {
+                    continue 'candidates;
+                }
+                self.note_read(dep);
+                if self.registry.module_fingerprint(dep) != Some(*fp) {
                     continue 'candidates;
                 }
             }
@@ -1307,6 +1342,32 @@ impl Interpreter {
             }
             other => Err(PyErr::type_error(format!(
                 "'{}' object does not support item assignment",
+                other.type_name()
+            ))),
+        }
+    }
+
+    /// Delete `obj[idx]`: a dict key or a list index (negative indices
+    /// count from the end).
+    pub(crate) fn del_item(&mut self, obj: &Value, idx: &Value) -> Result<(), PyErr> {
+        match obj {
+            Value::List(items) => {
+                let i = as_index(idx, items.borrow().len())?;
+                items.borrow_mut().remove(i);
+                Ok(())
+            }
+            Value::Dict(pairs) => {
+                let mut pairs = pairs.borrow_mut();
+                match pairs.iter().position(|(k, _)| py_eq(k, idx)) {
+                    Some(i) => {
+                        pairs.remove(i);
+                        Ok(())
+                    }
+                    None => Err(PyErr::new(ExcKind::KeyError, py_repr(idx))),
+                }
+            }
+            other => Err(PyErr::type_error(format!(
+                "'{}' object doesn't support item deletion",
                 other.type_name()
             ))),
         }
@@ -1992,7 +2053,7 @@ impl Interpreter {
                 match v {
                     Value::Int(i) => Ok(Value::Int(*i)),
                     Value::Bool(b) => Ok(Value::Int(*b as i64)),
-                    Value::Float(f) => Ok(Value::Int(*f as i64)),
+                    Value::Float(f) => float_to_int(*f).map(Value::Int),
                     Value::Str(s) => s.trim().parse::<i64>().map(Value::Int).map_err(|_| {
                         PyErr::new(
                             ExcKind::ValueError,
@@ -2607,6 +2668,32 @@ fn as_f64(v: &Value) -> f64 {
     }
 }
 
+/// `int()` of a float: truncate toward zero and wrap modulo 2^64, like
+/// pylite's integer arithmetic. A float of magnitude at least 2^127 is a
+/// multiple of 2^64, so it gives 0. NaN and the infinities raise
+/// `ValueError` with CPython's messages (pylite has no `OverflowError`).
+fn float_to_int(f: f64) -> Result<i64, PyErr> {
+    if f.is_nan() {
+        return Err(PyErr::new(
+            ExcKind::ValueError,
+            "cannot convert float NaN to integer",
+        ));
+    }
+    if f.is_infinite() {
+        return Err(PyErr::new(
+            ExcKind::ValueError,
+            "cannot convert float infinity to integer",
+        ));
+    }
+    let whole = f.trunc();
+    Ok(if whole.abs() < 2f64.powi(127) {
+        // Exact in i128; the cast to i64 keeps the low 64 bits.
+        whole as i128 as i64
+    } else {
+        0
+    })
+}
+
 fn as_index(idx: &Value, len: usize) -> Result<usize, PyErr> {
     let i = match idx {
         Value::Int(i) => *i,
@@ -3206,6 +3293,59 @@ print(isinstance(B(), A))
         assert_eq!(a.meter.steps, b.meter.steps);
         assert_eq!(a.observed_accesses(), b.observed_accesses());
         assert_eq!(a.loaded_modules(), b.loaded_modules());
+    }
+
+    /// The names in a run's read set, sorted.
+    fn reads(it: &Interpreter) -> Vec<String> {
+        let mut names: Vec<String> = it
+            .read_set()
+            .iter()
+            .map(|&sym| it.interner.resolve(sym).to_string())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn read_set_holds_live_and_replayed_imports_only() {
+        let mut r = replay_registry();
+        r.set_module("unused", "x = 1\n");
+        let src = "import lib\n";
+        let live = run_snap(&r, src, false);
+        assert_eq!(reads(&live), ["lib", "util"], "`unused` is never read");
+        let first = run_snap(&r, src, true);
+        let replayed = run_snap(&r, src, true);
+        assert!(r.snapshot_store().stats().hits >= 1, "second run replays");
+        assert_eq!(reads(&first), ["lib", "util"]);
+        assert_eq!(reads(&replayed), ["lib", "util"]);
+    }
+
+    #[test]
+    fn read_set_holds_evicted_and_compared_modules() {
+        // A body that fails inside `try` leaves its module out of
+        // `sys.modules`, but the run read it.
+        let mut r = Registry::new();
+        r.set_module("bad", "raise ValueError(\"no\")\n");
+        let mut it = Interpreter::new(r);
+        it.exec_main("try:\n    import bad\nexcept ValueError:\n    pass\n")
+            .unwrap();
+        assert!(it.module("bad").is_none());
+        assert_eq!(reads(&it), ["bad"]);
+
+        // Replay compares the fingerprint of `opt`, a dependency the
+        // captured run loaded; here it no longer parses, so the live
+        // fallback never loads it either.
+        let mut r = Registry::new();
+        r.set_module("opt", "x = 1\n");
+        r.set_module(
+            "lib",
+            "try:\n    import opt\nexcept ImportError:\n    pass\n",
+        );
+        run_snap(&r, "import lib\n", true);
+        let broken = r.with_module("opt", "def broken(:\n");
+        let it = run_snap(&broken, "import lib\n", true);
+        assert_eq!(it.loaded_modules(), ["__main__", "lib"]);
+        assert_eq!(reads(&it), ["lib", "opt"]);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use ast::{unparse, unparse_stmt, Program, Stmt};
 pub use bytecode::{compile_program, CodeObj};
 pub use cost::{CostModel, Meter};
 pub use intern::{Interner, Symbol, SymbolHashBuilder};
-pub use interp::{Engine, IcSiteStats, ImportEvent, Interpreter};
+pub use interp::{Engine, IcSiteStats, ImportEvent, Interpreter, ReadSet};
 pub use parser::{parse, parse_expr, ParseError};
 pub use registry::Registry;
 pub use resolved::{resolve_program, RProgram};

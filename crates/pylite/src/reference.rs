@@ -270,6 +270,11 @@ impl Interpreter {
                         let obj = self.eval(value, env)?;
                         self.del_attr(&obj, *attr)?;
                     }
+                    RExpr::Subscript { value, index } => {
+                        let obj = self.eval(value, env)?;
+                        let idx = self.eval(index, env)?;
+                        self.del_item(&obj, &idx)?;
+                    }
                     _ => return Err(PyErr::type_error("unsupported del target")),
                 }
                 Ok(Flow::Normal)

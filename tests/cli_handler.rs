@@ -101,6 +101,22 @@ fn integer_and_repetition_edge_cases_end_in_a_result_or_a_typed_error() {
             "range(-9223372036854775807 - 1, 9223372036854775807)",
             "ResourceExhausted",
         ),
+        ("int(1e300)", "=> 0"),
+        ("int(9.3e18)", "=> -9146744073709551616"),
+        ("int(-1e19)", "=> 8446744073709551616"),
+        ("int(-2.9)", "=> -2"),
+        (
+            "int(float(\"inf\"))",
+            "ValueError: cannot convert float infinity to integer",
+        ),
+        (
+            "int(float(\"-inf\"))",
+            "ValueError: cannot convert float infinity to integer",
+        ),
+        (
+            "int(float(\"nan\"))",
+            "ValueError: cannot convert float NaN to integer",
+        ),
     ];
     for (expr, expected) in cases {
         fs::write(
@@ -117,6 +133,47 @@ fn integer_and_repetition_edge_cases_end_in_a_result_or_a_typed_error() {
         } else {
             assert_eq!(out.status.code(), Some(1), "{expr}: {stderr}");
             assert!(stderr.contains(expected), "{expr}: {stderr}");
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn del_of_a_subscript_removes_the_item_or_raises_a_typed_error() {
+    let dir = fixture("del");
+    // (handler body, what `run` prints: the result or the error)
+    let cases = [
+        (
+            "d = {\"a\": 1, \"b\": 2}\n    del d[\"a\"]\n    return d",
+            "=> {\"b\": 2}",
+        ),
+        ("xs = [1, 2, 3]\n    del xs[-1]\n    return xs", "=> [1, 2]"),
+        ("d = {}\n    del d[\"a\"]\n    return d", "KeyError"),
+        ("xs = [1]\n    del xs[1]\n    return xs", "IndexError"),
+        (
+            "t = (1, 2)\n    del t[0]\n    return t",
+            "TypeError: 'tuple' object doesn't support item deletion",
+        ),
+        (
+            "xs = [1, 2]\n    del xs[0:1]\n    return xs",
+            "TypeError: unsupported del target",
+        ),
+    ];
+    for (body, expected) in cases {
+        fs::write(
+            dir.join("app.py"),
+            format!("def handler(event, context):\n    {body}\n"),
+        )
+        .unwrap();
+        let out = lambda_trim(&dir, &["run", "--event", "None"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        if expected.starts_with("=>") {
+            assert_eq!(out.status.code(), Some(0), "{body}: {stderr}");
+            assert_eq!(stdout.trim_end(), expected, "{body}");
+        } else {
+            assert_eq!(out.status.code(), Some(1), "{body}: {stderr}");
+            assert!(stderr.contains(expected), "{body}: {stderr}");
         }
     }
     let _ = fs::remove_dir_all(&dir);

@@ -9,6 +9,14 @@
 //! trimmed registry's fingerprint. Floats print in Rust's shortest
 //! round-trip form, so equal text means equal bits.
 //!
+//! The mini corpus is also trimmed with init snapshots off and with two
+//! analysis jobs: neither option may move a report, so its sections must
+//! equal the golden's.
+//!
+//! Debug builds also count the oracle runs the corpus pass starts: a
+//! deterministic number that only falls when more runs are answered
+//! without an interpreter (DESIGN.md §18).
+//!
 //! Regenerate the fixture only when a change is meant to move trim results,
 //! and say which entries moved and why:
 //!
@@ -103,9 +111,34 @@ fn render(out: &mut String, name: &str, r: &TrimReport) {
     .unwrap();
 }
 
+/// Oracle runs one default-option pass over the corpus starts: 21
+/// baselines, 21 final runs, and the 1,239 probes no run record answers.
+/// The 827 probes of modules the working app no longer imports and all
+/// 181 post-commit verifies are answered (2,289 runs before records).
+#[cfg(debug_assertions)]
+const CORPUS_RUNS: u64 = 1_281;
+
+fn golden() -> String {
+    std::fs::read_to_string(GOLDEN_PATH)
+        .expect("golden fixture exists; regenerate with LT_UPDATE_GOLDEN=1")
+}
+
+fn assert_lines_match(actual: &str, golden: &str, what: &str) {
+    for (i, (a, g)) in actual.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(a, g, "{what} diverged from the golden at line {}", i + 1);
+    }
+    assert_eq!(
+        actual.lines().count(),
+        golden.lines().count(),
+        "{what}: capture length changed"
+    );
+}
+
 #[test]
 fn corpus_trims_match_golden() {
     let mut actual = String::new();
+    #[cfg(debug_assertions)]
+    let runs = lambda_trim::trim_core::oracle::oracle_runs();
     for app in lambda_trim::trim_apps::corpus() {
         let report = lambda_trim::trim_app(
             &app.registry,
@@ -120,19 +153,50 @@ fn corpus_trims_match_golden() {
         std::fs::write(GOLDEN_PATH, &actual).unwrap();
         return;
     }
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("golden fixture exists; regenerate with LT_UPDATE_GOLDEN=1");
-    for (i, (a, g)) in actual.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(
-            a,
-            g,
-            "corpus trim diverged from the golden at line {}",
-            i + 1
-        );
-    }
+    assert_lines_match(&actual, &golden(), "corpus trim");
+    #[cfg(debug_assertions)]
     assert_eq!(
-        actual.lines().count(),
-        golden.lines().count(),
-        "corpus trim capture length changed"
+        lambda_trim::trim_core::oracle::oracle_runs() - runs,
+        CORPUS_RUNS,
+        "oracle runs per corpus pass"
     );
+}
+
+#[test]
+fn mini_corpus_matches_golden_with_snapshots_off_and_two_jobs() {
+    let golden = golden();
+    let section = |name: &str| -> String {
+        let start = golden
+            .find(&format!("== {name}\n"))
+            .unwrap_or_else(|| panic!("{name} is in the golden"));
+        let end = golden[start + 1..]
+            .find("\n== ")
+            .map_or(golden.len(), |at| start + at + 2);
+        golden[start..end].to_owned()
+    };
+    for (what, options) in [
+        (
+            "snapshots off",
+            DebloatOptions {
+                init_snapshots: false,
+                ..DebloatOptions::default()
+            },
+        ),
+        (
+            "two jobs",
+            DebloatOptions {
+                jobs: 2,
+                ..DebloatOptions::default()
+            },
+        ),
+    ] {
+        for app in lambda_trim::trim_apps::mini_corpus() {
+            let report = lambda_trim::trim_app(&app.registry, &app.app_source, &app.spec, &options)
+                .expect("trim succeeds");
+            let mut actual = String::new();
+            render(&mut actual, &app.name, &report);
+            let what = format!("{} ({what})", app.name);
+            assert_lines_match(&actual, &section(&app.name), &what);
+        }
+    }
 }
