@@ -6,7 +6,7 @@
 //! excluded from Delta Debugging — they must be kept anyway, so not probing
 //! them shrinks the search space (§6.3).
 //!
-//! The engine ([`engine`]) propagates *origin sets* (powerset lattice over
+//! The engine (`engine`) propagates *origin sets* (powerset lattice over
 //! modules, module attributes, functions and container-literal sites, see
 //! [`origin`]) through assignments, aliases, tuple/list/dict elements,
 //! conditional joins, function returns and call-site parameters, to a
@@ -30,8 +30,8 @@
 //! scope (application code only) for comparison.
 //!
 //! [`analyze_full`] additionally returns the interprocedural
-//! [`CallGraph`](callgraph::CallGraph) and the debloat-soundness
-//! [`lints`](crate::lints) (dynamic attribute access, star imports, module
+//! [`CallGraph`] and the debloat-soundness
+//! [`lints`] (dynamic attribute access, star imports, module
 //! rebinding, …) whose [`Hazard`](lints::Severity::Hazard) findings the
 //! pipeline uses to route modules to the conservative fallback deployment
 //! instead of DD-trimming them.

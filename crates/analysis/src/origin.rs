@@ -6,7 +6,7 @@
 //! which plays the role of the old `Unknown`). The atoms are finite for a
 //! given program + registry — module names are bounded by the registry,
 //! attribute pairs and function/site keys by the syntax — so the worklist
-//! fixpoint in [`crate::engine`] terminates.
+//! fixpoint in the crate's `engine` terminates.
 //!
 //! Atoms are *interned*: module and attribute names are [`Symbol`]s from
 //! the registry's shared `pylite::intern` family, so every analysis shard

@@ -1,6 +1,6 @@
 //! The 21 benchmark applications of Table 1.
 //!
-//! Each application is generated from an [`AppDef`]: which libraries it
+//! Each application is generated from an `AppDef`: which libraries it
 //! imports, how many of each library's attributes it actually touches
 //! (calibrated to Table 3's removed/kept counts), its handler work
 //! (Table 1's `Exec` column) and external-service calls. Every app also

@@ -10,13 +10,8 @@
 //! (incremental re-trim, greedy-vs-ddmin, provisioned concurrency), the
 //! trace-replay benchmark `replay` (writes `BENCH_replay.json`), the
 //! hazard-granularity comparison `hazard` (per-attribute pinning vs the
-//! blanket module fallback, writes `BENCH_hazard.json`), the init-snapshot
-//! memoization benchmark `memo`
-//! (per-probe init wall clock with snapshot replay vs live execution on
-//! the deep-import corpus slice, writes `BENCH_memo.json`), the CI
-//! memoization smoke `memo-smoke` (one deep-import app trimmed with the
-//! snapshot cache on vs off must agree and the cache must record replay
-//! hits), the selective-init slicing benchmark `slice` (init statements
+//! blanket module fallback, writes `BENCH_hazard.json`), the
+//! selective-init slicing benchmark `slice` (init statements
 //! and simulated init cost with statement slicing on vs off over the
 //! corpus, writes `BENCH_slice.json`), the CI slicing smoke `slice-smoke`
 //! (one corpus app trimmed with slicing on vs off must agree on DD results
@@ -38,13 +33,13 @@ use trim_core::{invoke_with_fallback, FallbackInstanceState};
 use trim_profiler::ScoringMethod;
 
 /// The experiments `all` runs, in order.
-const ALL: [&str; 18] = [
+const ALL: [&str; 17] = [
     "fig1", "table1", "fig2", "table2", "fig8", "fig9", "table3", "fig10", "fig11", "fig12",
-    "fig13", "fig14", "table4", "ext", "replay", "hazard", "memo", "slice",
+    "fig13", "fig14", "table4", "ext", "replay", "hazard", "slice",
 ];
 
 /// CI smokes, run only when named.
-const SMOKES: [&str; 2] = ["memo-smoke", "slice-smoke"];
+const SMOKES: [&str; 1] = ["slice-smoke"];
 
 const USAGE: &str = "usage: experiments [--jobs N] [all | <id>...]";
 
@@ -130,8 +125,6 @@ fn main() {
             "ext" => ext(),
             "replay" => replay_bench(jobs),
             "hazard" => hazard(jobs),
-            "memo" => memo_bench(),
-            "memo-smoke" => memo_smoke(),
             "slice" => slice_bench(),
             "slice-smoke" => slice_smoke(),
             other => unreachable!("`{other}` passed argument validation"),
@@ -1114,166 +1107,6 @@ fn burst_configs() -> Vec<BurstConfig> {
             max_concurrency: Some(32),
         },
     ]
-}
-
-// ---------------------------------------------------------------------------
-// Init-snapshot memoization: per-probe init wall clock, replay vs live.
-// ---------------------------------------------------------------------------
-
-/// One init run (`exec_main` only — the phase every DD probe repeats) on a
-/// fresh interpreter over the app's registry family. With `snapshots`, the
-/// family's shared snapshot store is consulted and filled, so the first
-/// such run captures and later ones replay.
-fn memo_init_run(bench: &trim_apps::BenchApp, snapshots: bool) -> u64 {
-    use std::time::Instant;
-    let mut it = pylite::Interpreter::new(bench.registry.clone());
-    if snapshots {
-        it.enable_init_snapshots();
-    }
-    let t = Instant::now();
-    std::hint::black_box(it.exec_main(&bench.app_source))
-        .unwrap_or_else(|e| panic!("{} init failed: {e}", bench.name));
-    t.elapsed().as_nanos() as u64
-}
-
-/// Registry modules loaded by one live init run — the app's import-cone
-/// size, used to select the deep-import slice of the corpus.
-fn init_modules_loaded(bench: &trim_apps::BenchApp) -> usize {
-    let mut it = pylite::Interpreter::new(bench.registry.clone());
-    it.exec_main(&bench.app_source)
-        .unwrap_or_else(|e| panic!("{} init failed: {e}", bench.name));
-    // `loaded_modules` includes `__main__`; the cone is everything else.
-    it.loaded_modules().len().saturating_sub(1)
-}
-
-/// Corpus apps whose init imports at least this many registry modules are
-/// "deep-import" — the slice where snapshot replay amortizes real work.
-const MEMO_DEEP_CONE: usize = 3;
-
-/// Benchmark `memo`: median per-probe init wall clock with the snapshot
-/// cache off (live execution, the pre-cache behavior) vs warmed on
-/// (replay), over the deep-import corpus slice. Writes `BENCH_memo.json`.
-fn memo_bench() {
-    use std::time::Instant;
-    banner("Init-snapshot memoization — per-probe init, live vs replay");
-    let budget_ms = std::env::var("LT_BENCH_BUDGET_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300u64);
-    let budget = std::time::Duration::from_millis(budget_ms);
-    println!(
-        "{:<18} {:>5} {:>12} {:>12} {:>8} {:>8} {:>8}",
-        "application", "cone", "live ns", "replay ns", "speedup", "hits", "captures"
-    );
-    let mut rows = Vec::new();
-    let mut speedups = Vec::new();
-    let mut skipped = Vec::new();
-    for bench in trim_apps::corpus() {
-        let cone = init_modules_loaded(&bench);
-        if cone < MEMO_DEEP_CONE {
-            skipped.push(format!("{} (cone {cone})", bench.name));
-            continue;
-        }
-        // Warm-up: first snapshot run captures; first live run populates
-        // the family's shared parse/resolve/bytecode slots for both arms.
-        memo_init_run(&bench, false);
-        memo_init_run(&bench, true);
-        // Interleave live and replay samples within one budget window so
-        // CPU frequency drift hits both arms equally.
-        let mut live: Vec<u64> = Vec::new();
-        let mut replay: Vec<u64> = Vec::new();
-        let deadline = Instant::now() + budget;
-        while Instant::now() < deadline || live.len() < 5 {
-            live.push(memo_init_run(&bench, false));
-            replay.push(memo_init_run(&bench, true));
-            if live.len() >= 500 {
-                break;
-            }
-        }
-        live.sort_unstable();
-        replay.sort_unstable();
-        let (live_ns, replay_ns) = (live[live.len() / 2], replay[replay.len() / 2]);
-        let speedup = live_ns as f64 / replay_ns.max(1) as f64;
-        let stats = bench.registry.snapshot_store().stats();
-        println!(
-            "{:<18} {:>5} {:>12} {:>12} {:>7.2}x {:>8} {:>8}",
-            bench.name, cone, live_ns, replay_ns, speedup, stats.hits, stats.captures
-        );
-        rows.push(format!(
-            "    {{\"app\": \"{}\", \"cone\": {cone}, \"live_ns\": {live_ns}, \
-             \"replay_ns\": {replay_ns}, \"speedup\": {speedup:.3}, \
-             \"replay_hits\": {}, \"captures\": {}}}",
-            bench.name, stats.hits, stats.captures
-        ));
-        speedups.push(speedup);
-    }
-    if !skipped.is_empty() {
-        println!(
-            "skipped {} shallow app(s) (import cone < {MEMO_DEEP_CONE}): {}",
-            skipped.len(),
-            skipped.join(", ")
-        );
-    }
-    assert!(!speedups.is_empty(), "corpus has deep-import apps");
-    let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
-    let min_speedup = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-    let json = format!(
-        "{{\n  \"bench\": \"init_snapshot_memo\",\n  \"unit\": \"ns_per_probe_init\",\n  \
-         \"baseline\": \"live module-body execution (snapshot cache disabled)\",\n  \
-         \"deep_cone_threshold\": {MEMO_DEEP_CONE},\n  \"apps\": [\n{}\n  ],\n  \
-         \"geomean_speedup\": {geomean:.2},\n  \"min_speedup\": {min_speedup:.2}\n}}\n",
-        rows.join(",\n")
-    );
-    println!("geomean speedup {geomean:.2}x, min {min_speedup:.2}x (target: >=2x geomean)");
-    let path = "BENCH_memo.json";
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path}");
-}
-
-/// CI memoization smoke: one deep-import corpus app trimmed with the
-/// snapshot cache on vs off must produce identical reports, and the cache
-/// must actually have been exercised (captures and replay hits observed).
-fn memo_smoke() {
-    banner("Memo smoke — igraph trimmed with and without snapshot replay");
-    let bench = trim_apps::app("igraph").expect("igraph in corpus");
-    let run = |init_snapshots| {
-        trim_core::trim_app(
-            &bench.registry,
-            &bench.app_source,
-            &bench.spec,
-            &trim_core::DebloatOptions {
-                init_snapshots,
-                ..trim_core::DebloatOptions::default()
-            },
-        )
-        .expect("trim succeeds")
-    };
-    let live = run(false);
-    let stats_before = bench.registry.snapshot_store().stats();
-    assert_eq!(
-        (stats_before.captures, stats_before.hits),
-        (0, 0),
-        "snapshots-off trim must not touch the store"
-    );
-    let replayed = run(true);
-    assert_eq!(
-        replayed, live,
-        "snapshot-replay trim report diverged from live execution"
-    );
-    let stats = bench.registry.snapshot_store().stats();
-    assert!(stats.captures > 0, "snapshot trim must capture");
-    assert!(stats.hits > 0, "snapshot trim must replay across probes");
-    println!(
-        "trims agree: {} modules, {} attrs removed, {} oracle probes; \
-         snapshot store: {} captures, {} replay hits, {} misses, {} poisons",
-        replayed.modules.len(),
-        replayed.attrs_removed(),
-        replayed.oracle_invocations,
-        stats.captures,
-        stats.hits,
-        stats.misses,
-        stats.poisons
-    );
 }
 
 /// Selective-init slicing benchmark: trim every corpus app with statement

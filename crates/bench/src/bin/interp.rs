@@ -41,7 +41,7 @@ fn measure_app(bench: &trim_apps::BenchApp, budget: Duration) -> u64 {
     samples[samples.len() / 2]
 }
 
-/// Parse "<app> <ns>" lines produced by a `--baseline`-less invocation.
+/// Parse `<app> <ns>` lines produced by a `--baseline`-less invocation.
 fn read_baseline(path: &str) -> Vec<(String, u64)> {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading baseline {path}: {e}"));

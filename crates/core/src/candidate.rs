@@ -10,7 +10,7 @@
 //! attribute ids it binds, and a keep mask selects statements into a
 //! [`Candidate`]. Only `import` lists kept in part are printed per probe.
 //!
-//! [`Prober`] is the one probe function the debloater, the incremental
+//! `Prober` is the one probe function the debloater, the incremental
 //! retrim and the slicer share: probe-cache lookup, the run record
 //! (DESIGN.md §18), selection, the copy-on-write overlay and the oracle
 //! run. A module whose probes a run record answers is never indexed: its
@@ -506,12 +506,7 @@ impl<'a> Prober<'a> {
         let overlay =
             self.base
                 .with_module_resolved(self.module, candidate.source, candidate.program);
-        let run = run_oracle(
-            &overlay,
-            self.app_source,
-            self.spec,
-            self.options.init_snapshots,
-        );
+        let run = run_oracle(&overlay, self.app_source, self.spec);
         let verdict = matches!(&run.result, Ok(actual) if actual.behavior_eq(self.expected));
         if verdict {
             *self.record.borrow_mut() = Some(RunRecord::new(overlay, run.secs, run.reads));
@@ -540,14 +535,7 @@ impl<'a> Prober<'a> {
             self.base
                 .with_module(self.module, pylite::unparse(&candidate))
         };
-        crate::oracle::check_answer(
-            candidate,
-            self.app_source,
-            self.spec,
-            self.expected,
-            self.options.init_snapshots,
-            secs,
-        );
+        crate::oracle::check_answer(candidate, self.app_source, self.spec, self.expected, secs);
     }
 }
 

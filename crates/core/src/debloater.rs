@@ -73,12 +73,10 @@ pub struct DebloatOptions {
     /// Execution engine for oracle runs. The bytecode VM is the only one;
     /// nothing reads this field.
     pub engine: Engine,
-    /// Init-snapshot memoization (default: on): oracle runs record module
-    /// initializations into the registry family's shared
-    /// [`pylite::SnapshotStore`] and replay them on later probes whose
-    /// import cone is unchanged. Replay is byte-identical to live
-    /// execution, so this only affects wall-clock speed, never results;
-    /// `false` forces every probe to run module bodies live.
+    /// Switch of the retired init-snapshot memo (DESIGN.md §14): every
+    /// module body runs live. Nothing reads this; it stays until the
+    /// benchmark change that deletes `Engine` (ROADMAP direction 7)
+    /// removes it.
     pub init_snapshots: bool,
     /// Statement-level selective-init slicing (default: on): after DD has
     /// minimized each module's attribute surface, drop the init statements
@@ -100,7 +98,6 @@ impl PartialEq for DebloatOptions {
             && self.analysis == other.analysis
             && self.jobs == other.jobs
             && self.hazards == other.hazards
-            && self.init_snapshots == other.init_snapshots
             && self.slice_init == other.slice_init
             && match (&self.probe_cache, &other.probe_cache) {
                 (None, None) => true,
@@ -266,18 +263,11 @@ pub(crate) fn debloat_step(
     let (committed_ok, verify_secs, after) = match last.filter(|last| last.answers(work, module)) {
         Some(last) => {
             #[cfg(debug_assertions)]
-            crate::oracle::check_answer(
-                || work.clone(),
-                app_source,
-                spec,
-                expected,
-                options.init_snapshots,
-                last.secs(),
-            );
+            crate::oracle::check_answer(|| work.clone(), app_source, spec, expected, last.secs());
             (true, last.secs(), Some(last.moved_to(work)))
         }
         None => {
-            let run = run_oracle(work, app_source, spec, options.init_snapshots);
+            let run = run_oracle(work, app_source, spec);
             let ok = matches!(&run.result, Ok(actual) if actual.behavior_eq(expected));
             let after = ok.then(|| RunRecord::new(work.clone(), run.secs, run.reads));
             (ok, run.secs, after)

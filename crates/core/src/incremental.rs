@@ -16,7 +16,7 @@
 
 use crate::candidate::{Prober, Selection};
 use crate::debloater::{commit, split_kept, DebloatOptions, ModuleReport};
-use crate::oracle::{run_app_opts, Execution, OracleSpec};
+use crate::oracle::{run_app, Execution, OracleSpec};
 use crate::pipeline::TrimReport;
 use crate::slicer::{slice_modules, SliceReport};
 use crate::TrimError;
@@ -112,14 +112,7 @@ pub fn retrim_with_log(
             "analysis jobs must be at least 1".to_owned(),
         ));
     }
-    let before = run_app_opts(
-        registry,
-        app_source,
-        spec,
-        options.engine,
-        options.init_snapshots,
-    )
-    .map_err(TrimError::Baseline)?;
+    let before = run_app(registry, app_source, spec).map_err(TrimError::Baseline)?;
     let app_program = pylite::parse(app_source).map_err(TrimError::Parse)?;
     // Retrims are where the summary cache earns its keep: sharing one cache
     // across runs means only the edited modules (and readers of keys they
@@ -257,14 +250,7 @@ pub fn retrim_with_log(
     } else {
         Vec::new()
     };
-    let after = run_app_opts(
-        &work,
-        app_source,
-        spec,
-        options.engine,
-        options.init_snapshots,
-    )
-    .map_err(TrimError::Baseline)?;
+    let after = run_app(&work, app_source, spec).map_err(TrimError::Baseline)?;
     Ok(IncrementalReport {
         modules,
         before,

@@ -148,9 +148,9 @@ pub fn run_app(
     run_app_measured(registry, app_source, spec).0
 }
 
-/// Like [`run_app`], with the init-snapshot switch of
-/// [`run_app_measured_opts`]. `engine` is ignored: the bytecode VM is the
-/// only engine.
+/// [`run_app`]. `engine` and `init_snapshots` are ignored: nothing reads
+/// them; they stay until the benchmark change that deletes `Engine`
+/// (ROADMAP direction 7) removes them.
 ///
 /// # Errors
 ///
@@ -159,10 +159,10 @@ pub fn run_app_opts(
     registry: &Registry,
     app_source: &str,
     spec: &OracleSpec,
-    engine: Engine,
-    init_snapshots: bool,
+    _engine: Engine,
+    _init_snapshots: bool,
 ) -> Result<Execution, PyErr> {
-    run_app_measured_opts(registry, app_source, spec, engine, init_snapshots).0
+    run_app(registry, app_source, spec)
 }
 
 /// Like [`run_app`], but also returns the virtual time the probe consumed
@@ -173,26 +173,21 @@ pub fn run_app_measured(
     app_source: &str,
     spec: &OracleSpec,
 ) -> (Result<Execution, PyErr>, f64) {
-    run_app_measured_opts(registry, app_source, spec, Engine::Vm, false)
+    let run = run_oracle(registry, app_source, spec);
+    (run.result, run.secs)
 }
 
-/// [`run_app_measured`] with an init-snapshot switch: when
-/// `init_snapshots` is true, module initializations are recorded into — and
-/// replayed from — the registry family's shared
-/// [`pylite::SnapshotStore`], so repeated probes over the same import cone
-/// skip re-executing module bodies. Replay is byte-identical to live
-/// execution (the differential suites pin this), so the returned
-/// [`Execution`] and measurement are unaffected by the switch. `engine` is
-/// ignored: the bytecode VM is the only engine.
+/// [`run_app_measured`]. `engine` and `init_snapshots` are ignored:
+/// nothing reads them; they stay until the benchmark change that deletes
+/// `Engine` (ROADMAP direction 7) removes them.
 pub fn run_app_measured_opts(
     registry: &Registry,
     app_source: &str,
     spec: &OracleSpec,
     _engine: Engine,
-    init_snapshots: bool,
+    _init_snapshots: bool,
 ) -> (Result<Execution, PyErr>, f64) {
-    let run = run_oracle(registry, app_source, spec, init_snapshots);
-    (run.result, run.secs)
+    run_app_measured(registry, app_source, spec)
 }
 
 /// One finished oracle run: its outcome, the virtual seconds it took
@@ -204,30 +199,17 @@ pub(crate) struct OracleRun {
     pub(crate) reads: ReadSet,
 }
 
-/// [`run_app_measured_opts`] that also reports what the run read: the one
+/// [`run_app_measured`] that also reports what the run read: the one
 /// function every oracle run goes through, and the one [`oracle_runs`]
 /// counts.
-pub(crate) fn run_oracle(
-    registry: &Registry,
-    app_source: &str,
-    spec: &OracleSpec,
-    init_snapshots: bool,
-) -> OracleRun {
+pub(crate) fn run_oracle(registry: &Registry, app_source: &str, spec: &OracleSpec) -> OracleRun {
     #[cfg(debug_assertions)]
     ORACLE_RUNS.with(|runs| runs.set(runs.get() + 1));
-    fresh_run(registry, app_source, spec, init_snapshots)
+    fresh_run(registry, app_source, spec)
 }
 
-fn fresh_run(
-    registry: &Registry,
-    app_source: &str,
-    spec: &OracleSpec,
-    init_snapshots: bool,
-) -> OracleRun {
+fn fresh_run(registry: &Registry, app_source: &str, spec: &OracleSpec) -> OracleRun {
     let mut interp = Interpreter::new(registry.clone());
-    if init_snapshots {
-        interp.enable_init_snapshots();
-    }
     let result = run_app_inner(&mut interp, app_source, spec);
     OracleRun {
         result,
@@ -260,8 +242,7 @@ pub fn oracle_runs() -> u64 {
 /// record answers, with a pass and its own seconds, a run over any
 /// registry that has its fingerprint, or that holds the same names and
 /// differs from its registry only in one module the run never read
-/// ([`RunRecord::answers`]). While init snapshots are on, this rests on
-/// replay being indistinguishable from live execution.
+/// ([`RunRecord::answers`]).
 #[derive(Debug, Clone)]
 pub(crate) struct RunRecord {
     registry: Registry,
@@ -333,14 +314,13 @@ pub(crate) fn check_answer(
     app_source: &str,
     spec: &OracleSpec,
     expected: &Execution,
-    init_snapshots: bool,
     secs: f64,
 ) {
     let answers = ANSWERS.with(|n| n.replace(n.get() + 1));
     if !answers.is_multiple_of(8) {
         return;
     }
-    let run = fresh_run(&registry(), app_source, spec, init_snapshots);
+    let run = fresh_run(&registry(), app_source, spec);
     let passes = matches!(&run.result, Ok(actual) if actual.behavior_eq(expected));
     assert!(
         passes && run.secs.to_bits() == secs.to_bits(),

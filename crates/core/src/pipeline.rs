@@ -2,7 +2,7 @@
 //! cost profiler → DD debloater, producing a deployable trimmed registry.
 
 use crate::debloater::{debloat_step, DebloatOptions, HazardMode, ModuleReport};
-use crate::oracle::{run_app_opts, run_oracle, Execution, OracleSpec, RunRecord};
+use crate::oracle::{run_app, run_oracle, Execution, OracleSpec, RunRecord};
 use crate::slicer::{slice_step, SliceReport};
 use crate::TrimError;
 use pylite::Registry;
@@ -100,12 +100,10 @@ pub fn trim_app(
             "analysis jobs must be at least 1".to_owned(),
         ));
     }
-    // 1. Baseline run (with init snapshots when enabled, warming the
-    //    registry family's shared snapshot store for the DD probes). It
-    //    seeds the run record (DESIGN.md §18): the last passing run over
-    //    the working registry, which answers every probe and verify of a
-    //    module it never read.
-    let baseline = run_oracle(registry, app_source, spec, options.init_snapshots);
+    // 1. Baseline run. It seeds the run record (DESIGN.md §18): the last
+    //    passing run over the working registry, which answers every probe
+    //    and verify of a module it never read.
+    let baseline = run_oracle(registry, app_source, spec);
     let before = baseline.result.map_err(TrimError::Baseline)?;
     let mut record = Some(RunRecord::new(
         registry.clone(),
@@ -132,20 +130,6 @@ pub fn trim_app(
     };
     let analyzer = trim_analysis::Analyzer::new(&program, &analysis_options);
     let full = analyzer.full(registry);
-
-    // Conservative replayability gate: modules the static analyzer
-    // implicates in a debloat-soundness hazard (opaque getattr, foreign
-    // mutation through aliases) are denied snapshot capture/replay and
-    // always run their init live. The deny set lives in the registry
-    // family's shared store, so it also covers snapshots captured before
-    // this point (replay re-checks the deny set per candidate and per
-    // dependency).
-    if options.init_snapshots {
-        let store = registry.snapshot_store();
-        for module in full.hazard_attrs.keys() {
-            store.deny(module);
-        }
-    }
 
     // 3. Cost profiling + top-K ranking.
     let profile = profile_app(app_source, registry).map_err(TrimError::Baseline)?;
@@ -220,14 +204,7 @@ pub fn trim_app(
         Vec::new()
     };
 
-    let after = run_app_opts(
-        &work,
-        app_source,
-        spec,
-        options.engine,
-        options.init_snapshots,
-    )
-    .map_err(TrimError::Baseline)?;
+    let after = run_app(&work, app_source, spec).map_err(TrimError::Baseline)?;
     debug_assert!(
         after.behavior_eq(&before),
         "trimmed application must be oracle-equivalent"
@@ -630,8 +607,8 @@ mod record_tests {
     }
 
     /// The baseline behaviour of `app` over `r`, and its run record.
-    fn baseline(r: &Registry, app: &str, options: &DebloatOptions) -> (Execution, RunRecord) {
-        let run = run_oracle(r, app, &spec(), options.init_snapshots);
+    fn baseline(r: &Registry, app: &str) -> (Execution, RunRecord) {
+        let run = run_oracle(r, app, &spec());
         let before = run.result.expect("baseline passes");
         (before, RunRecord::new(r.clone(), run.secs, run.reads))
     }
@@ -659,7 +636,7 @@ mod record_tests {
     fn trim_a_then_b(h_body: &str, options: &DebloatOptions) -> DeadTarget {
         let none = BTreeSet::new();
         let mut work = registry(h_body);
-        let (before, record) = baseline(&work, APP, options);
+        let (before, record) = baseline(&work, APP);
         let (a, record) = debloat_step(
             &mut work,
             APP,
@@ -706,7 +683,7 @@ mod record_tests {
 
         // Without a record, the first probe runs and never reads `b`: it
         // answers the rest, and the verify.
-        let (before, _) = baseline(&registry("return x * 2"), APP, &options);
+        let (before, _) = baseline(&registry("return x * 2"), APP);
         let none = BTreeSet::new();
         let mut public = dead.at_dd.clone();
         let (report, runs) = counted(|| {
@@ -726,29 +703,22 @@ mod record_tests {
 
     #[test]
     fn editing_a_dead_target_changes_no_verdict_and_no_seconds() {
-        for options in [
-            DebloatOptions::default(),
-            DebloatOptions {
-                init_snapshots: false,
-                ..DebloatOptions::default()
-            },
-        ] {
-            let doubled = trim_a_then_b("return x * 2", &options);
-            let edited = trim_a_then_b("return [x, x + 1, str(x)]", &options);
-            assert_ne!(doubled.at_dd, edited.at_dd);
-            assert_eq!(doubled.dd, edited.dd);
-            assert_eq!(doubled.slices, edited.slices);
-        }
+        let options = DebloatOptions::default();
+        let doubled = trim_a_then_b("return x * 2", &options);
+        let edited = trim_a_then_b("return [x, x + 1, str(x)]", &options);
+        assert_ne!(doubled.at_dd, edited.at_dd);
+        assert_eq!(doubled.dd, edited.dd);
+        assert_eq!(doubled.slices, edited.slices);
     }
 
     #[test]
-    fn targets_read_through_replay_or_eviction_are_never_answered() {
+    fn targets_read_transitively_or_through_eviction_are_never_answered() {
         let options = DebloatOptions::default();
         let none = BTreeSet::new();
-        // `c` loads only inside `lib`'s snapshot when the baseline replays.
-        let mut replayed = Registry::new();
-        replayed.set_module("lib", "import c\ndef go(x):\n    return c.one() + x\n");
-        replayed.set_module("c", "def one():\n    return 1\ndef two():\n    return 2\n");
+        // `c` loads only through `lib`'s import: the app never names it.
+        let mut transitive = Registry::new();
+        transitive.set_module("lib", "import c\ndef go(x):\n    return c.one() + x\n");
+        transitive.set_module("c", "def one():\n    return 1\ndef two():\n    return 2\n");
         let app = "import lib\ndef handler(event, context):\n    return lib.go(event[\"n\"])\n";
         // A trimmed `c` that `try` imports and evicts: its body raises.
         let mut evicted = Registry::new();
@@ -757,12 +727,8 @@ mod record_tests {
             "x = 1\ndef one():\n    return 1\nraise ValueError(\"no\")\n",
         );
         let evicting = "try:\n    import c\nexcept ValueError:\n    pass\ndef handler(event, context):\n    return event[\"n\"]\n";
-        for (registry, app) in [(replayed, app), (evicted, evicting)] {
-            baseline(&registry, app, &options);
-            let (before, record) = baseline(&registry, app, &options);
-            if app.contains("lib") {
-                assert!(registry.snapshot_store().stats().hits >= 1, "lib replays");
-            }
+        for (registry, app) in [(transitive, app), (evicted, evicting)] {
+            let (before, record) = baseline(&registry, app);
             assert!(!record.answers_probes(&registry, "c"));
             let mut work = registry.clone();
             let ((report, _), runs) = counted(|| {
@@ -783,7 +749,7 @@ mod record_tests {
         let none = BTreeSet::new();
         let plain_options = DebloatOptions::default();
         let mut plain = registry("return x * 2");
-        let (before, record) = baseline(&plain, APP, &plain_options);
+        let (before, record) = baseline(&plain, APP);
         let step = |work: &mut Registry, record, options: &DebloatOptions| {
             debloat_step(work, APP, &spec(), &before, "a", &none, options, record).unwrap()
         };
@@ -801,7 +767,7 @@ mod record_tests {
             probe_cache: Some(cache.clone()),
             ..DebloatOptions::default()
         };
-        let (_, record) = baseline(&work, APP, &options);
+        let (_, record) = baseline(&work, APP);
         let ((report, after), runs) = counted(|| step(&mut work, Some(record), &options));
         assert_eq!(
             cache.hits(),

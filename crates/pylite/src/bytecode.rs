@@ -16,8 +16,8 @@
 //!   `reference` feature) as the behavioral reference: stdout, exceptions, meter ticks, simulated
 //!   allocations, observed accesses and namespace contents must match it
 //!   exactly. Per-node `expr_node_ns` ticks are preserved by *merging*
-//!   adjacent entry ticks into [`Insn::Tick`] (or into the leading
-//!   [`Insn::StmtTick`]) — exact because the meter is a saturating counter
+//!   adjacent entry ticks into `Insn::Tick` (or into the leading
+//!   `Insn::StmtTick`) — exact because the meter is a saturating counter
 //!   and ticks are flushed before every instruction that can raise,
 //!   allocate, or snapshot the meter.
 //! - **Everything is compiled.** Parameter defaults and class bodies
@@ -1760,6 +1760,80 @@ mod tests {
                 "{source}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn floor_division_modulo_and_power_follow_python() {
+        let out = agree(
+            "print(7 // -2, 7 % -2, -7 // -3, -7 % -3)\n\
+             print(7.5 % -2, 1 // 0.1, -0.0 % 5, 6.0 % -3)\n\
+             print(2 ** -3000000000, 2 ** 64, 3 ** 64)\n",
+        );
+        assert_eq!(
+            out.stdout,
+            [
+                "-4 -1 2 -1",
+                "-0.5 9.0 0.0 -0.0",
+                "0.0 0 8733086111712066817"
+            ]
+        );
+        for source in ["x = 0 ** -1\n", "x = 0.0 ** -1\n"] {
+            let err = agree(source).result.unwrap_err();
+            assert!(
+                err.contains("ZeroDivisionError: 0.0 cannot be raised to a negative power"),
+                "{source}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn keyword_arguments_no_callee_binds_raise_type_errors() {
+        for (call, error) in [
+            ("len([1], x=2)", "len() takes no keyword arguments"),
+            (
+                "sorted([3, 1, 2], reverse=True)",
+                "sorted() takes no keyword arguments",
+            ),
+            ("print(1, 2, sep='-')", "print() takes no keyword arguments"),
+            (
+                "'a b'.split(sep=',')",
+                "str.split() takes no keyword arguments",
+            ),
+            ("A(1, x=2)", "A() takes no arguments"),
+            ("E('m', code=3)", "E() takes no keyword arguments"),
+            (
+                "ValueError('m', code=3)",
+                "ValueError() takes no keyword arguments",
+            ),
+        ] {
+            let source = format!("class A:\n    pass\nclass E(Exception):\n    pass\nx = {call}\n");
+            let err = agree(&source).result.unwrap_err();
+            assert!(
+                err.contains(&format!("TypeError: {error}")),
+                "{call}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn sorted_is_a_stable_merge_sort_that_propagates_errors() {
+        let out = agree(
+            "def reversed_sort():\n    xs = sorted(list(range(100000, 0, -1)))\n    return [len(xs), xs[0], xs[-1]]\n\
+             print(reversed_sort())\n\
+             print(sorted([1.0, 1, True]), sorted([2, 1.0, 1, True, 0, 2.0]), sorted([]))\n",
+        );
+        assert_eq!(
+            out.stdout,
+            [
+                "[100000, 1, 100000]",
+                "[1.0, 1, True] [0, 1.0, 1, True, 2, 2.0] []"
+            ]
+        );
+        let err = agree("x = sorted([1, 'a'])\n").result.unwrap_err();
+        assert!(
+            err.contains("TypeError: '<' not supported between instances of 'str' and 'int'"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod parser;
 mod reference;
 pub mod registry;
 pub mod resolved;
-pub mod snapshot;
 pub mod value;
 
 pub use ast::{unparse, unparse_stmt, Program, Stmt};
@@ -56,7 +55,6 @@ pub use cost::{CostModel, Meter};
 pub use intern::{Interner, Symbol, SymbolHashBuilder};
 pub use interp::{Engine, IcSiteStats, ImportEvent, Interpreter, ReadSet};
 pub use parser::{parse, parse_expr, ParseError};
-pub use registry::Registry;
+pub use registry::{Registry, SnapshotStats, SnapshotStore};
 pub use resolved::{resolve_program, RProgram};
-pub use snapshot::{SnapshotStats, SnapshotStore};
 pub use value::{py_eq, py_repr, py_str, ExcKind, Namespace, PyErr, Value};

@@ -23,7 +23,6 @@ use crate::bytecode::CodeObj;
 use crate::intern::Interner;
 use crate::parser::{parse, ParseError};
 use crate::resolved::{resolve_program, RProgram};
-use crate::snapshot::SnapshotStore;
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
@@ -53,9 +52,8 @@ impl fmt::Debug for SummarySlot {
 struct ModuleEntry {
     source: Arc<str>,
     /// `entry_hash(name, source)`, computed once at insertion so
-    /// per-module fingerprint lookups (hot on the snapshot-replay path,
-    /// which re-validates a whole import cone per candidate) are O(1)
-    /// instead of re-hashing the source.
+    /// per-module fingerprint lookups are O(1) instead of re-hashing the
+    /// source.
     hash: u64,
     parsed: Arc<OnceLock<Result<Arc<Program>, ParseError>>>,
     resolved: Arc<OnceLock<Result<Arc<RProgram>, ParseError>>>,
@@ -125,17 +123,45 @@ pub struct Registry {
     /// re-compile it. Like the per-entry slots, this is derived data and
     /// deliberately absent from the fingerprint and `PartialEq`.
     main_code: Arc<Mutex<MainCodeCache>>,
-    /// Init-snapshot cache shared by every clone/overlay of this registry
-    /// family (see [`crate::snapshot`]). Entries are keyed by content
-    /// fingerprints, so overlays with rewritten modules replay only the
-    /// unchanged parts of their import cones. Derived data: deliberately
-    /// absent from the fingerprint and `PartialEq`.
-    snapshots: Arc<SnapshotStore>,
 }
 
 /// Content-keyed `__main__` bytecode cache: hash of the app source → the
 /// full source (collision check) and its compiled code object.
 type MainCodeCache = HashMap<u64, (Arc<str>, Arc<CodeObj>)>;
+
+/// Counters of the retired init-snapshot memo (DESIGN.md §14), always
+/// zero. Nothing reads this; it stays until the benchmark change that
+/// deletes `Engine` (ROADMAP direction 7) removes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SnapshotStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
+    /// Always 0.
+    pub captures: u64,
+    /// Always 0.
+    pub poisons: u64,
+    /// Always 0.
+    pub ineligible: u64,
+}
+
+/// The retired init-snapshot memo's store, which holds nothing: every
+/// module body runs live. Nothing reads this; it stays until the
+/// benchmark change that deletes `Engine` (ROADMAP direction 7) removes
+/// it.
+#[derive(Debug, Default)]
+pub struct SnapshotStore;
+
+impl SnapshotStore {
+    /// All zeros.
+    pub fn stats(&self) -> SnapshotStats {
+        SnapshotStats::default()
+    }
+
+    /// Does nothing.
+    pub fn deny(&self, _name: &str) {}
+}
 
 impl PartialEq for Registry {
     /// Registries are equal when they hold the same module sources; the
@@ -389,10 +415,11 @@ impl Registry {
         &self.interner
     }
 
-    /// The init-snapshot cache shared by this registry and all of its
-    /// clones and copy-on-write overlays (see [`crate::snapshot`]).
-    pub fn snapshot_store(&self) -> &Arc<SnapshotStore> {
-        &self.snapshots
+    /// The [`SnapshotStore`], which holds nothing. Nothing reads this; it
+    /// stays until the benchmark change that deletes `Engine` (ROADMAP
+    /// direction 7) removes it.
+    pub fn snapshot_store(&self) -> &'static SnapshotStore {
+        &SnapshotStore
     }
 
     /// Direct submodules of a dotted name that exist in the registry, e.g.

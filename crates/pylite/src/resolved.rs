@@ -82,7 +82,7 @@ pub struct RParam {
 }
 
 /// A resolved function definition, shared (`Arc`) between the defining
-/// statement and every [`crate::PyFunc`] created from it.
+/// statement and every [`crate::value::PyFunc`] created from it.
 #[derive(Debug)]
 pub struct RFuncDef {
     /// Function name as a symbol (the attribute it binds).

@@ -8,20 +8,6 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Deferred namespace contents: a replayed module's bindings are produced
-/// on access instead of eagerly (see [`crate::snapshot`]). Lookups
-/// materialize single bindings; iteration-style access materializes
-/// everything. Methods must not touch the namespace being filled, and
-/// repeated calls must agree (same keys, aliasing-consistent values).
-pub(crate) trait LazyBindings: std::fmt::Debug {
-    /// The full binding list, in insertion order. Keys must be unique.
-    fn fill(&self) -> Vec<(Symbol, Value)>;
-    /// The pending value bound to `key`, if any.
-    fn get(&self, key: Symbol) -> Option<Value>;
-    /// Whether `key` is among the pending bindings.
-    fn contains(&self, key: Symbol) -> bool;
-}
-
 #[cfg(debug_assertions)]
 thread_local! {
     static LIVE_NAMESPACES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
@@ -77,9 +63,6 @@ pub struct NsMap {
     order: Vec<Symbol>,
     map: HashMap<Symbol, Value, SymbolHashBuilder>,
     generation: u64,
-    /// Pending deferred contents. Every access through [`Namespace`]
-    /// materializes this first, so the map below is never observed stale.
-    lazy: Option<Rc<dyn LazyBindings>>,
     _live: LiveToken,
 }
 
@@ -87,61 +70,6 @@ impl NsMap {
     /// An empty map.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty map with room for `n` bindings (bulk builders: snapshot
-    /// replay knows the final size up front).
-    pub fn with_capacity(n: usize) -> Self {
-        NsMap {
-            order: Vec::with_capacity(n),
-            map: HashMap::with_capacity_and_hasher(n, SymbolHashBuilder::default()),
-            generation: 0,
-            lazy: None,
-            _live: LiveToken::default(),
-        }
-    }
-
-    /// Materialize all pending deferred contents, if any. No-op otherwise.
-    ///
-    /// Bindings already materialized (or overwritten) individually keep
-    /// their value; their key still lands in its pending insertion slot,
-    /// ahead of any keys bound after replay — matching the order a live
-    /// init would have produced.
-    fn force(&mut self) {
-        if let Some(fill) = self.lazy.take() {
-            let pairs = fill.fill();
-            self.generation += 1;
-            self.map.reserve(pairs.len());
-            let mut order = Vec::with_capacity(pairs.len() + self.order.len());
-            for (key, value) in pairs {
-                order.push(key);
-                self.map.entry(key).or_insert(value);
-            }
-            order.append(&mut self.order);
-            self.order = order;
-        }
-    }
-
-    /// Materialize the single pending binding for `key`, if any, returning
-    /// its value. The key joins `map` but not `order`: full ordering is
-    /// reconstructed by [`NsMap::force`] when iteration-style access needs
-    /// it. The generation is untouched — the binding was conceptually
-    /// present all along, so caches holding the current generation stay
-    /// valid.
-    fn materialize(&mut self, key: Symbol) -> Option<Value> {
-        let value = self.lazy.as_ref()?.get(key)?;
-        self.map.insert(key, value.clone());
-        Some(value)
-    }
-
-    /// Insert a binding known to be absent: one hash probe instead of
-    /// `set`'s occupied-slot check. Callers must guarantee `key` is new —
-    /// violating that leaves a stale duplicate in the insertion order.
-    pub(crate) fn insert_new(&mut self, key: Symbol, value: Value) {
-        debug_assert!(!self.map.contains_key(&key), "insert_new on bound key");
-        self.generation += 1;
-        self.order.push(key);
-        self.map.insert(key, value);
     }
 
     /// Look up a binding.
@@ -205,9 +133,7 @@ impl NsMap {
 ///
 /// The backing map is private: all mutation goes through [`Namespace::set`]
 /// and [`Namespace::remove`], so the generation counter the interpreter's
-/// inline caches rely on cannot be bypassed. A namespace may carry
-/// *deferred* contents (snapshot replay); every accessor materializes them
-/// first, so deferral is unobservable apart from when the work happens.
+/// inline caches rely on cannot be bypassed.
 #[derive(Debug, Clone, Default)]
 pub struct Namespace(Rc<RefCell<NsMap>>);
 
@@ -217,88 +143,23 @@ impl Namespace {
         Self::default()
     }
 
-    /// A fresh namespace with room for `n` bindings.
-    pub fn with_capacity(n: usize) -> Self {
-        Namespace(Rc::new(RefCell::new(NsMap::with_capacity(n))))
-    }
-
-    /// Defer this namespace's contents to `fill`, which will run on first
-    /// access. The namespace must still be empty and not already deferred.
-    pub(crate) fn defer_to(&self, fill: Rc<dyn LazyBindings>) {
-        let mut m = self.0.borrow_mut();
-        debug_assert!(
-            m.map.is_empty() && m.lazy.is_none(),
-            "defer_to on a used namespace"
-        );
-        m.lazy = Some(fill);
-    }
-
-    /// Immutable access with any deferred contents materialized.
-    fn map(&self) -> std::cell::Ref<'_, NsMap> {
-        {
-            let m = self.0.borrow();
-            if m.lazy.is_none() {
-                return m;
-            }
-        }
-        self.0.borrow_mut().force();
-        self.0.borrow()
-    }
-
-    /// Mutable access with any deferred contents materialized.
-    fn map_mut(&self) -> std::cell::RefMut<'_, NsMap> {
-        let mut m = self.0.borrow_mut();
-        m.force();
-        m
-    }
-
-    /// Insert a binding known to be absent (see [`NsMap::insert_new`]).
-    pub(crate) fn insert_new(&self, key: Symbol, value: Value) {
-        self.map_mut().insert_new(key, value);
-    }
-
-    /// Look up a binding (cloning the value handle). Deferred namespaces
-    /// materialize only the requested binding, not the whole map.
+    /// Look up a binding (cloning the value handle).
     pub fn get(&self, key: Symbol) -> Option<Value> {
-        {
-            let m = self.0.borrow();
-            if let Some(v) = m.get(key) {
-                return Some(v.clone());
-            }
-            m.lazy.as_ref()?;
-        }
-        self.0.borrow_mut().materialize(key)
+        self.0.borrow().get(key).cloned()
     }
 
     /// Insert or update a binding.
     pub fn set(&self, key: Symbol, value: Value) -> Option<Value> {
-        let mut m = self.0.borrow_mut();
-        if let Some(lazy) = m.lazy.clone() {
-            // A materialized key takes a plain overwrite below, keeping
-            // its pending insertion slot.
-            if let std::collections::hash_map::Entry::Vacant(slot) = m.map.entry(key) {
-                if let Some(prev) = lazy.get(key) {
-                    // Overwriting a still-pending binding: materialize it
-                    // so the original value is returned and the key keeps
-                    // its pending insertion slot.
-                    slot.insert(prev);
-                } else {
-                    // A genuinely new key sorts after every pending
-                    // binding, so the pending order must exist first.
-                    m.force();
-                }
-            }
-        }
-        m.set(key, value)
+        self.0.borrow_mut().set(key, value)
     }
 
     /// Remove a binding.
     pub fn remove(&self, key: Symbol) -> Option<Value> {
-        self.map_mut().remove(key)
+        self.0.borrow_mut().remove(key)
     }
 
-    /// Drop every binding, and any deferred contents, leaving the namespace
-    /// empty. The generation still bumps, so no inline cache survives.
+    /// Drop every binding, leaving the namespace empty. The generation
+    /// still bumps, so no inline cache survives.
     pub(crate) fn clear(&self) {
         // Interpreter teardown calls this from `Drop`, which must not
         // panic: a namespace still borrowed there (possible only while a
@@ -309,37 +170,30 @@ impl Namespace {
         m.generation += 1;
         m.order = Vec::new();
         m.map = HashMap::default();
-        m.lazy = None;
     }
 
-    /// Whether `key` is bound. Deferred namespaces answer without
-    /// materializing anything.
+    /// Whether `key` is bound.
     pub fn contains(&self, key: Symbol) -> bool {
-        let m = self.0.borrow();
-        m.contains(key) || m.lazy.as_ref().is_some_and(|l| l.contains(key))
+        self.0.borrow().contains(key)
     }
 
     /// Number of bindings.
     pub fn len(&self) -> usize {
-        self.map().len()
+        self.0.borrow().len()
     }
 
     /// Whether the namespace has no bindings.
     pub fn is_empty(&self) -> bool {
-        self.map().is_empty()
+        self.0.borrow().is_empty()
     }
 
-    /// Keys in insertion order (snapshot).
+    /// Keys in insertion order, copied out so the caller may mutate the
+    /// namespace while walking them.
     pub fn key_syms(&self) -> Vec<Symbol> {
-        self.map().keys().collect()
+        self.0.borrow().keys().collect()
     }
 
     /// The namespace's mutation generation (see [`NsMap::generation`]).
-    /// Reading it does not materialize deferred contents: single-binding
-    /// materialization leaves the generation untouched (the binding was
-    /// conceptually present all along), and a full force bumps it once —
-    /// so a `(generation, value)` pair observed through [`Namespace::get`]
-    /// stays coherent.
     pub fn generation(&self) -> u64 {
         self.0.borrow().generation()
     }
@@ -603,6 +457,32 @@ pub enum NativeMethod {
 }
 
 impl NativeMethod {
+    /// The method's name.
+    pub fn name(self) -> &'static str {
+        use NativeMethod::*;
+        match self {
+            Append => "append",
+            Extend => "extend",
+            Pop => "pop",
+            Index => "index",
+            Count => "count",
+            Get => "get",
+            Keys => "keys",
+            Values => "values",
+            Items => "items",
+            Update => "update",
+            Upper => "upper",
+            Lower => "lower",
+            Strip => "strip",
+            Split => "split",
+            Join => "join",
+            Replace => "replace",
+            Startswith => "startswith",
+            Endswith => "endswith",
+            Format => "format",
+        }
+    }
+
     /// Resolve a method name for a given receiver kind.
     pub fn resolve(recv: &Value, name: &str) -> Option<NativeMethod> {
         use NativeMethod::*;

@@ -160,7 +160,7 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse from an iterator of raw arguments (excluding argv[0]).
+    /// Parse from an iterator of raw arguments (excluding `argv[0]`).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Args {
         let mut out = Args::default();
         let mut iter = args.into_iter().peekable();

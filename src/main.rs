@@ -223,8 +223,8 @@ fn cmd_trim(args: &Args) -> Result<(), String> {
 /// `trim --ic-stats` appends to REPORT.txt. Sites are the resolved-IR
 /// attribute-access ids; rows sort by lookup volume
 /// so the hottest `mod.attr` sites lead. Live-handler and module-init
-/// lookups report separately: replayed init snapshots skip the caches
-/// entirely, so a combined total would swing with `init_snapshots`.
+/// lookups report separately, so the handler's own hit rate is not
+/// diluted by the one-off lookups of module bodies.
 fn ic_stats_section(
     trimmed: &pylite::Registry,
     app_source: &str,
@@ -266,7 +266,7 @@ fn ic_stats_section(
         if rows.len() == 1 { "" } else { "s" }
     ));
     out.push_str(&format!(
-        "  init:  {init_hits} hit / {init_misses} miss ({:.1}% hit rate; zero when init replays from snapshots)\n",
+        "  init:  {init_hits} hit / {init_misses} miss ({:.1}% hit rate)\n",
         pct(init_hits, init_hits + init_misses),
     ));
     for (site, h, m) in rows {

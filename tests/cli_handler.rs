@@ -86,6 +86,21 @@ fn integer_and_repetition_edge_cases_end_in_a_result_or_a_typed_error() {
         ("(-9223372036854775807 - 1) // -1", "=> -9223372036854775808"),
         ("(-9223372036854775807 - 1) % -1", "=> 0"),
         ("3 ** 50", "=> 6048575297968530377"),
+        ("7 // -2", "=> -4"),
+        ("7 % -2", "=> -1"),
+        ("-7 // -3", "=> 2"),
+        ("-7 % -3", "=> -1"),
+        ("7.5 % -2", "=> -0.5"),
+        ("1 // 0.1", "=> 9.0"),
+        ("-0.0 % 5", "=> 0.0"),
+        ("6.0 % -3", "=> -0.0"),
+        ("2 ** -3000000000", "=> 0.0"),
+        (
+            "0 ** -1",
+            "ZeroDivisionError: 0.0 cannot be raised to a negative power",
+        ),
+        ("2 ** 64", "=> 0"),
+        ("3 ** 64", "=> 8733086111712066817"),
         ("-(-9223372036854775807 - 1)", "=> -9223372036854775808"),
         ("abs(-9223372036854775807 - 1)", "=> -9223372036854775808"),
         (
@@ -134,6 +149,45 @@ fn integer_and_repetition_edge_cases_end_in_a_result_or_a_typed_error() {
             assert_eq!(out.status.code(), Some(1), "{expr}: {stderr}");
             assert!(stderr.contains(expected), "{expr}: {stderr}");
         }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn keyword_arguments_no_callee_binds_raise_a_type_error() {
+    let dir = fixture("kwargs");
+    for (expr, error) in [
+        (
+            "sorted([3, 1, 2], reverse=True)",
+            "sorted() takes no keyword arguments",
+        ),
+        (
+            "print(1, 2, sep=\"-\", end=\"!\")",
+            "print() takes no keyword arguments",
+        ),
+        (
+            "\"a b\".split(sep=\",\")",
+            "str.split() takes no keyword arguments",
+        ),
+        ("len([1], x=2)", "len() takes no keyword arguments"),
+        ("A(1, x=2)", "A() takes no arguments"),
+        (
+            "ValueError(\"m\", code=3)",
+            "ValueError() takes no keyword arguments",
+        ),
+    ] {
+        fs::write(
+            dir.join("app.py"),
+            format!("class A:\n    pass\n\ndef handler(event, context):\n    return {expr}\n"),
+        )
+        .unwrap();
+        let out = lambda_trim(&dir, &["run", "--event", "None"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{expr}: {stderr}");
+        assert!(
+            stderr.contains(&format!("TypeError: {error}")),
+            "{expr}: {stderr}"
+        );
     }
     let _ = fs::remove_dir_all(&dir);
 }

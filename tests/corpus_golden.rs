@@ -9,9 +9,8 @@
 //! trimmed registry's fingerprint. Floats print in Rust's shortest
 //! round-trip form, so equal text means equal bits.
 //!
-//! The mini corpus is also trimmed with init snapshots off and with two
-//! analysis jobs: neither option may move a report, so its sections must
-//! equal the golden's.
+//! The mini corpus is also trimmed with two analysis jobs: the worker
+//! count may not move a report, so its sections must equal the golden's.
 //!
 //! Debug builds also count the oracle runs the corpus pass starts: a
 //! deterministic number that only falls when more runs are answered
@@ -163,7 +162,7 @@ fn corpus_trims_match_golden() {
 }
 
 #[test]
-fn mini_corpus_matches_golden_with_snapshots_off_and_two_jobs() {
+fn mini_corpus_matches_golden_with_two_jobs() {
     let golden = golden();
     let section = |name: &str| -> String {
         let start = golden
@@ -174,29 +173,16 @@ fn mini_corpus_matches_golden_with_snapshots_off_and_two_jobs() {
             .map_or(golden.len(), |at| start + at + 2);
         golden[start..end].to_owned()
     };
-    for (what, options) in [
-        (
-            "snapshots off",
-            DebloatOptions {
-                init_snapshots: false,
-                ..DebloatOptions::default()
-            },
-        ),
-        (
-            "two jobs",
-            DebloatOptions {
-                jobs: 2,
-                ..DebloatOptions::default()
-            },
-        ),
-    ] {
-        for app in lambda_trim::trim_apps::mini_corpus() {
-            let report = lambda_trim::trim_app(&app.registry, &app.app_source, &app.spec, &options)
-                .expect("trim succeeds");
-            let mut actual = String::new();
-            render(&mut actual, &app.name, &report);
-            let what = format!("{} ({what})", app.name);
-            assert_lines_match(&actual, &section(&app.name), &what);
-        }
+    let options = DebloatOptions {
+        jobs: 2,
+        ..DebloatOptions::default()
+    };
+    for app in lambda_trim::trim_apps::mini_corpus() {
+        let report = lambda_trim::trim_app(&app.registry, &app.app_source, &app.spec, &options)
+            .expect("trim succeeds");
+        let mut actual = String::new();
+        render(&mut actual, &app.name, &report);
+        let what = format!("{} (two jobs)", app.name);
+        assert_lines_match(&actual, &section(&app.name), &what);
     }
 }

@@ -9,15 +9,15 @@
 //! * `select` returns the source `unparse(rewrite_module(..))` returns;
 //! * the pre-resolved overlay has the plain overlay's fingerprint;
 //! * running the app over the two overlays gives equal `Execution`s,
-//!   timings and memory included, with init snapshots on and off.
+//!   timings and memory included.
 //!
 //! `select_stmts` is held to the same contract against `sliced_program`.
 
-use lambda_trim::pylite::{unparse, unparse_stmt, Engine, Registry, Stmt};
+use lambda_trim::pylite::{unparse, unparse_stmt, Registry, Stmt};
 use lambda_trim::trim_analysis::slice::sliced_program;
 use lambda_trim::trim_apps::BenchApp;
 use lambda_trim::trim_core::{
-    rewrite_module, run_app_measured_opts, Candidate, ModuleIndex, OracleSpec, TestCase,
+    rewrite_module, run_app_measured, Candidate, ModuleIndex, OracleSpec, TestCase,
 };
 use lambda_trim::trim_profiler::{profile_app, top_k};
 use lambda_trim::DebloatOptions;
@@ -27,9 +27,6 @@ use trim_rng::Rng;
 
 /// Random keep sets drawn per DD target.
 const KEEP_SETS: usize = 4;
-
-/// Both init-snapshot settings a probe can run under.
-const SNAPSHOTS: [bool; 2] = [true, false];
 
 /// The modules `trim_app` runs DD on under the default options: the
 /// profiler's top K that the registry holds.
@@ -84,8 +81,8 @@ impl<'a> Subject<'a> {
     }
 
     /// Assert that the selected candidate and the plain source install as
-    /// the same module and run the app identically with init snapshots on
-    /// and off. Returns whether the app passed its oracle cases.
+    /// the same module and run the app identically. Returns whether the
+    /// app passed its oracle cases.
     fn assert_same(
         &self,
         module: &str,
@@ -100,16 +97,13 @@ impl<'a> Subject<'a> {
             .with_module_resolved(module, selected.source, selected.program);
         let plain = self.registry.with_module(module, plain_source);
         assert_eq!(pre.fingerprint(), plain.fingerprint(), "{at}");
-        let mut passed = true;
-        for snapshots in SNAPSHOTS {
-            let run = |r: &Registry| {
-                run_app_measured_opts(r, self.app_source, self.spec, Engine::Vm, snapshots)
-            };
-            let ours = run(&pre);
-            assert_eq!(ours, run(&plain), "{at}: snapshots {snapshots}");
-            passed &= ours.0.is_ok();
-        }
-        passed
+        let ours = run_app_measured(&pre, self.app_source, self.spec);
+        assert_eq!(
+            ours,
+            run_app_measured(&plain, self.app_source, self.spec),
+            "{at}"
+        );
+        ours.0.is_ok()
     }
 }
 
