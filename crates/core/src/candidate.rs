@@ -1,14 +1,15 @@
 //! Candidate materialization (DESIGN.md §16): index a probed module once,
-//! then build every probe's candidate by *selecting* statements.
+//! then build every probe's candidate by *linking* statements.
 //!
 //! A DD probe needs the candidate module twice: as source text, which keys
-//! the registry fingerprint and the caches built on it, and as a resolved
-//! tree, which the interpreter runs. Rewriting the AST, printing it and
-//! re-parsing and re-resolving the printed text per probe repeats work that
-//! depends only on the module. [`ModuleIndex`] does it once: each top-level
-//! statement keeps its printed text, its resolved [`RStmt`] and the
-//! attribute ids it binds, and a keep mask selects statements into a
-//! [`Candidate`]. Only `import` lists kept in part are printed per probe.
+//! the registry fingerprint and the caches built on it, and as code, which
+//! the interpreter runs. The registry already holds the module's AST,
+//! resolved tree and bytecode, filled by the baseline run. [`ModuleIndex`]
+//! takes them from the registry's slots and keeps only each top-level
+//! statement's printed text and keep rule. A keep mask then selects a
+//! candidate: the kept statements' texts, and a [`LinkedBody`] over their
+//! ranges of the module's one code object. Only `import` lists kept in
+//! part are printed and compiled per probe, as one-statement programs.
 //!
 //! `Prober` is the one probe function the debloater, the incremental
 //! retrim and the slicer share: probe-cache lookup, the run record
@@ -22,19 +23,11 @@ use crate::oracle::{run_oracle, Execution, OracleSpec, RunRecord};
 use crate::probe_cache::{app_fingerprint, ProbeKey};
 use pylite::ast::{Expr, ImportItem, Program, Stmt};
 use pylite::resolved::{RProgram, RStmt};
-use pylite::{Interner, ParseError, Registry};
+use pylite::{CodeObj, LinkedBody, ParseError, Registry};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
-
-/// A candidate module: the source a probe installs and its resolved tree.
-#[derive(Debug, Clone)]
-pub struct Candidate {
-    /// Exactly `unparse` of the rewritten (or sliced) program.
-    pub source: String,
-    /// The resolved tree of `source`.
-    pub program: Arc<RProgram>,
-}
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// A module's attribute ids: [`module_attributes`] in order, followed by
 /// the dunder names that `import` lists bind. The rewriter drops those
@@ -99,25 +92,31 @@ impl AttrIds {
     }
 }
 
-/// A module indexed for probing: its top-level statements, printed and
-/// resolved once per DD, retrim or slice run, for keep masks to select
-/// from.
+/// A module indexed for probing: the registry's parse, resolve and
+/// bytecode of it, and each top-level statement's printed text and keep
+/// rule, for keep masks to select from.
 ///
 /// Attribute ids number [`module_attributes`] in order, followed by the
 /// dunder names that `import` lists bind: the rewriter drops those unless
 /// the keep set names them, so a raw keep set can reach them.
 pub struct ModuleIndex {
+    module: String,
     program: Arc<Program>,
+    resolved: Arc<RProgram>,
+    code: Arc<CodeObj>,
     ids: AttrIds,
+    /// Every statement's `unparse_stmt`, concatenated.
+    printed: String,
     chunks: Vec<Chunk>,
+    /// `pass`, compiled on first use: the body of a candidate that keeps
+    /// no statement.
+    pass: OnceLock<Arc<CodeObj>>,
 }
 
 /// One top-level statement of an indexed module.
 struct Chunk {
-    /// `unparse_stmt` of the statement.
-    text: String,
-    /// The statement as the interpreter would resolve it from `text`.
-    resolved: RStmt,
+    /// The statement's text in [`ModuleIndex::printed`].
+    text: Range<usize>,
     rule: Rule,
 }
 
@@ -131,47 +130,74 @@ enum Rule {
     List(Vec<u32>),
 }
 
+/// What one probe keeps of its module.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Selection<'s> {
+    /// A keep mask over the index's ids. `extra` holds kept names the
+    /// module does not bind: they change no statement, but they are part
+    /// of the probe-cache key.
+    Attrs {
+        keep: &'s [bool],
+        extra: &'s [String],
+    },
+    /// Top-level statement indices (slice probes, never cached).
+    Stmts(&'s [usize]),
+}
+
 impl ModuleIndex {
-    /// Index `program` for probes resolved against `interner`, the
-    /// registry family's: print every statement, parse the printed module
-    /// once and resolve it, so each chunk is exactly what a probe's
-    /// re-parse of a candidate containing it would produce.
+    /// Index `module` from `registry`'s parse, resolve and bytecode slots
+    /// (filling them if empty), printing each statement once.
+    ///
+    /// A candidate's text is a concatenation of printed statements, and it
+    /// must run as its linked body does. So every printed statement must
+    /// parse back to the registry's statement. The check parses one
+    /// statement at a time, and is skipped when the module's source already
+    /// is its printed statements: the registry parsed exactly that text.
     ///
     /// # Errors
     ///
-    /// The printed module does not parse back statement for statement (a
-    /// printer bug): no candidate could be built from it.
-    pub fn new(program: Arc<Program>, interner: Arc<Interner>) -> Result<ModuleIndex, ParseError> {
+    /// The module is missing or does not parse, or a printed statement does
+    /// not parse back to itself (a printer bug): no candidate could be
+    /// built from it.
+    pub fn new(registry: &Registry, module: &str) -> Result<ModuleIndex, ParseError> {
+        let program = registry.parse_module(module)?;
+        let resolved = registry.resolve_module(module)?;
+        let code = registry.compile_module(module)?;
         let ids = AttrIds::new(&program);
-        let texts: Vec<String> = program.body.iter().map(pylite::unparse_stmt).collect();
-        let reparsed = pylite::parse(&texts.concat())?;
-        let aligned = reparsed.body.len() == program.body.len()
-            && reparsed
-                .body
-                .iter()
-                .zip(&program.body)
-                .all(|(again, stmt)| list_names(again) == list_names(stmt));
-        if !aligned {
-            return Err(ParseError {
-                message: "printed module does not parse back statement for statement".into(),
-                line: 0,
-            });
-        }
-        let resolved = pylite::resolve_program(&reparsed, &interner);
-        let chunks = texts
-            .into_iter()
-            .zip(resolved.body)
-            .zip(&program.body)
-            .map(|((text, resolved), stmt)| Chunk {
-                text,
-                resolved,
-                rule: rule(stmt, &ids.ids),
+        let mut printed = String::new();
+        let chunks: Vec<Chunk> = program
+            .body
+            .iter()
+            .map(|stmt| {
+                let start = printed.len();
+                printed.push_str(&pylite::unparse_stmt(stmt));
+                Chunk {
+                    text: start..printed.len(),
+                    rule: rule(stmt, &ids.ids),
+                }
             })
             .collect();
+        if registry.source(module) != Some(printed.as_str()) {
+            for (i, (chunk, stmt)) in chunks.iter().zip(&program.body).enumerate() {
+                let again = pylite::parse(&printed[chunk.text.clone()])?;
+                if again.body != std::slice::from_ref(stmt) {
+                    return Err(ParseError {
+                        message: format!("printed statement {i} does not parse back to itself"),
+                        line: 0,
+                    });
+                }
+            }
+        }
+        debug_assert_eq!(code.stmt_count(), chunks.len());
         Ok(ModuleIndex {
+            module: module.to_owned(),
             program,
+            resolved,
+            code,
             ids,
+            printed,
             chunks,
+            pass: OnceLock::new(),
         })
     }
 
@@ -203,55 +229,76 @@ impl ModuleIndex {
         self.ids.keep_mask(keep)
     }
 
-    /// The candidate keeping the attributes whose ids are set in `keep`
-    /// (indexed like [`names`](ModuleIndex::names)). Its source is
-    /// byte-identical to `unparse(&rewrite_module(program, names))`.
-    pub fn select(&self, keep: &[bool]) -> Candidate {
+    /// `base` with the module keeping the attributes whose ids are set in
+    /// `keep` (indexed like [`names`](ModuleIndex::names)). Its source is
+    /// byte-identical to `unparse(&rewrite_module(program, names))`, and
+    /// importing it runs the kept statements' linked code.
+    pub fn overlay(&self, base: &Registry, keep: &[bool]) -> Registry {
+        self.overlay_selection(base, Selection::Attrs { keep, extra: &[] })
+    }
+
+    /// `base` with the module keeping the top-level statements at `kept`,
+    /// in that order; out-of-range indices are ignored. Its source is
+    /// byte-identical to `unparse(&sliced_program(program, kept))`.
+    pub fn overlay_stmts(&self, base: &Registry, kept: &[usize]) -> Registry {
+        self.overlay_selection(base, Selection::Stmts(kept))
+    }
+
+    fn overlay_selection(&self, base: &Registry, selection: Selection<'_>) -> Registry {
         let mut source = String::new();
-        let mut body = Vec::new();
-        for (chunk, stmt) in self.chunks.iter().zip(&self.program.body) {
-            match &chunk.rule {
-                Rule::Always => push_whole(chunk, &mut source, &mut body),
-                Rule::AnyOf(ids) => {
-                    if ids.iter().any(|&id| keep[id as usize]) {
-                        push_whole(chunk, &mut source, &mut body);
+        let mut body = LinkedBody::default();
+        match selection {
+            Selection::Attrs { keep, .. } => {
+                for (i, chunk) in self.chunks.iter().enumerate() {
+                    match &chunk.rule {
+                        Rule::Always => self.push_whole(i, &mut source, &mut body),
+                        Rule::AnyOf(ids) => {
+                            if ids.iter().any(|&id| keep[id as usize]) {
+                                self.push_whole(i, &mut source, &mut body);
+                            }
+                        }
+                        Rule::List(ids) => {
+                            let kept: Vec<bool> = ids.iter().map(|&id| keep[id as usize]).collect();
+                            if kept.iter().all(|&k| k) {
+                                self.push_whole(i, &mut source, &mut body);
+                            } else if kept.contains(&true) {
+                                let (stmt, resolved) = partial_list(
+                                    &self.program.body[i],
+                                    &self.resolved.body[i],
+                                    &kept,
+                                );
+                                source.push_str(&pylite::unparse_stmt(&stmt));
+                                let program = RProgram {
+                                    body: vec![resolved],
+                                };
+                                body.push_code(Arc::new(pylite::compile_program(&program)));
+                            }
+                        }
                     }
                 }
-                Rule::List(ids) => {
-                    let kept: Vec<bool> = ids.iter().map(|&id| keep[id as usize]).collect();
-                    if kept.iter().all(|&k| k) {
-                        push_whole(chunk, &mut source, &mut body);
-                    } else if kept.contains(&true) {
-                        let (stmt, resolved) = partial_list(stmt, &chunk.resolved, &kept);
-                        source.push_str(&pylite::unparse_stmt(&stmt));
-                        body.push(resolved);
-                    }
+                if body.is_empty() {
+                    source.push_str("pass\n");
+                    body.push_code(Arc::clone(self.pass.get_or_init(|| {
+                        let program = RProgram {
+                            body: vec![RStmt::Pass],
+                        };
+                        Arc::new(pylite::compile_program(&program))
+                    })));
+                }
+            }
+            Selection::Stmts(kept) => {
+                for &i in kept.iter().filter(|&&i| i < self.chunks.len()) {
+                    self.push_whole(i, &mut source, &mut body);
                 }
             }
         }
-        if body.is_empty() {
-            source.push_str("pass\n");
-            body.push(RStmt::Pass);
-        }
-        Candidate {
-            source,
-            program: Arc::new(RProgram { body }),
-        }
+        base.with_module_linked(self.module.as_str(), source, body)
     }
 
-    /// The candidate keeping the top-level statements at `kept`, in that
-    /// order; out-of-range indices are ignored. Its source is
-    /// byte-identical to `unparse(&sliced_program(program, kept))`.
-    pub fn select_stmts(&self, kept: &[usize]) -> Candidate {
-        let mut source = String::new();
-        let mut body = Vec::with_capacity(kept.len());
-        for chunk in kept.iter().filter_map(|&i| self.chunks.get(i)) {
-            push_whole(chunk, &mut source, &mut body);
-        }
-        Candidate {
-            source,
-            program: Arc::new(RProgram { body }),
-        }
+    /// Append statement `i` whole: its printed text and its code range.
+    fn push_whole(&self, i: usize, source: &mut String, body: &mut LinkedBody) {
+        source.push_str(&self.printed[self.chunks[i].text.clone()]);
+        body.push_stmt(&self.code, i);
     }
 }
 
@@ -286,11 +333,6 @@ fn partial_list(stmt: &Stmt, resolved: &RStmt, kept: &[bool]) -> (Stmt, RStmt) {
         ),
         _ => unreachable!("list rules index import statements"),
     }
-}
-
-fn push_whole(chunk: &Chunk, source: &mut String, body: &mut Vec<RStmt>) {
-    source.push_str(&chunk.text);
-    body.push(chunk.resolved.clone());
 }
 
 fn filter_kept<T: Clone>(items: &[T], keep: impl Fn(usize) -> bool) -> Vec<T> {
@@ -356,20 +398,6 @@ fn assigned_names<'a>(target: &'a Expr, out: &mut Vec<&'a str>) {
     }
 }
 
-/// What one probe keeps of its module.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Selection<'s> {
-    /// A keep mask over the index's ids. `extra` holds kept names the
-    /// module does not bind: they change no statement, but they are part
-    /// of the probe-cache key.
-    Attrs {
-        keep: &'s [bool],
-        extra: &'s [String],
-    },
-    /// Top-level statement indices (slice probes, never cached).
-    Stmts(&'s [usize]),
-}
-
 /// The probe function of every DD, retrim and slice run over one module.
 ///
 /// Every probe overlays the module on the same base registry. A probe
@@ -415,11 +443,10 @@ impl<'a> Prober<'a> {
         options: &'a DebloatOptions,
         record: Option<&RunRecord>,
     ) -> Result<Prober<'a>, ParseError> {
-        let program = base.parse_module(module)?;
         let record = record.filter(|record| record.answers_probes(base, module));
         let index = match record {
-            Some(_) => Indexed::Ids(AttrIds::new(&program)),
-            None => Indexed::Full(ModuleIndex::new(program, Arc::clone(base.interner()))?),
+            Some(_) => Indexed::Ids(AttrIds::new(&*base.parse_module(module)?)),
+            None => Indexed::Full(ModuleIndex::new(base, module)?),
         };
         Ok(Prober {
             base,
@@ -494,62 +521,78 @@ impl<'a> Prober<'a> {
         (verdict, secs)
     }
 
-    /// Run one probe live; a passing run becomes the prober's record.
+    /// Run one probe live over its linked candidate; a passing run becomes
+    /// the prober's record.
     fn run(&self, selection: Selection<'_>) -> (bool, f64) {
         let Indexed::Full(index) = &self.index else {
             unreachable!("a record that answers a module's probes answers all of them")
         };
-        let candidate = match selection {
-            Selection::Attrs { keep, .. } => index.select(keep),
-            Selection::Stmts(kept) => index.select_stmts(kept),
-        };
-        let overlay =
-            self.base
-                .with_module_resolved(self.module, candidate.source, candidate.program);
+        let overlay = index.overlay_selection(self.base, selection);
         let run = run_oracle(&overlay, self.app_source, self.spec);
         let verdict = matches!(&run.result, Ok(actual) if actual.behavior_eq(self.expected));
+        #[cfg(debug_assertions)]
+        crate::oracle::check_live(
+            || {
+                let printed = self.printed(selection);
+                assert_eq!(
+                    printed.fingerprint(),
+                    overlay.fingerprint(),
+                    "a linked candidate's text is the printed candidate"
+                );
+                printed
+            },
+            self.app_source,
+            self.spec,
+            self.expected,
+            verdict,
+            run.secs,
+        );
         if verdict {
             *self.record.borrow_mut() = Some(RunRecord::new(overlay, run.secs, run.reads));
         }
         (verdict, run.secs)
     }
 
-    /// Re-run a sample of answered probes fresh, building the candidate
-    /// the way the rewriter and the slicer print it
-    /// ([`crate::oracle::check_answer`]).
+    /// Re-run a sample of answered probes fresh from their printed
+    /// candidates ([`crate::oracle::check_answer`]).
     #[cfg(debug_assertions)]
     fn check_answer(&self, selection: Selection<'_>, secs: f64) {
-        let candidate = || {
-            let program = self
-                .base
-                .parse_module(self.module)
-                .expect("probed module parses");
-            let candidate = match selection {
-                Selection::Attrs { keep, .. } => {
-                    let kept = self.ids().names.iter().zip(keep).filter(|(_, k)| **k);
-                    let names: BTreeSet<String> = kept.map(|(name, _)| name.clone()).collect();
-                    crate::rewrite::rewrite_module(&program, &names)
-                }
-                Selection::Stmts(kept) => trim_analysis::slice::sliced_program(&program, kept),
-            };
-            self.base
-                .with_module(self.module, pylite::unparse(&candidate))
+        let printed = || self.printed(selection);
+        crate::oracle::check_answer(printed, self.app_source, self.spec, self.expected, secs);
+    }
+
+    /// The probe's candidate the way the rewriter and the slicer print it,
+    /// installed as plain text.
+    #[cfg(debug_assertions)]
+    fn printed(&self, selection: Selection<'_>) -> Registry {
+        let program = self
+            .base
+            .parse_module(self.module)
+            .expect("probed module parses");
+        let candidate = match selection {
+            Selection::Attrs { keep, .. } => {
+                let kept = self.ids().names.iter().zip(keep).filter(|(_, k)| **k);
+                let names: BTreeSet<String> = kept.map(|(name, _)| name.clone()).collect();
+                crate::rewrite::rewrite_module(&program, &names)
+            }
+            Selection::Stmts(kept) => trim_analysis::slice::sliced_program(&program, kept),
         };
-        crate::oracle::check_answer(candidate, self.app_source, self.spec, self.expected, secs);
+        self.base
+            .with_module(self.module, pylite::unparse(&candidate))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::TestCase;
     use crate::rewrite::rewrite_module;
     use trim_analysis::slice::sliced_program;
 
     fn index(source: &str) -> (ModuleIndex, Registry) {
         let mut r = Registry::new();
         r.set_module("m", source);
-        let program = r.parse_module("m").unwrap();
-        let index = ModuleIndex::new(program, Arc::clone(r.interner())).unwrap();
+        let index = ModuleIndex::new(&r, "m").unwrap();
         (index, r)
     }
 
@@ -557,39 +600,50 @@ mod tests {
         names.iter().map(|s| (*s).to_owned()).collect()
     }
 
-    /// `select` agrees with the rewriter on the source, and its resolved
-    /// tree runs like the re-parsed source.
-    fn assert_select_matches(source: &str, kept: &BTreeSet<String>) -> String {
+    /// Everything importing `m` shows: its namespace, or the error, and
+    /// stdout and the meter's bits.
+    fn import_m(registry: &Registry) -> String {
+        let mut interp = pylite::Interpreter::new(registry.clone());
+        let namespace = interp.import_module("m").map(|m| {
+            let interner = registry.interner();
+            let mut names: Vec<String> =
+                m.ns.key_syms()
+                    .into_iter()
+                    .map(|k| {
+                        let value = m.ns.get(k).expect("key from snapshot");
+                        format!("{} = {}", interner.resolve(k), pylite::py_repr(&value))
+                    })
+                    .collect();
+            names.sort();
+            names
+        });
+        format!(
+            "{namespace:?} {:?} {:x} {:x}",
+            interp.stdout,
+            interp.meter.clock_secs().to_bits(),
+            interp.meter.mem_mb().to_bits()
+        )
+    }
+
+    /// The linked overlay agrees with the rewriter on the source, and
+    /// imports like the printed source.
+    fn assert_overlay_matches(source: &str, kept: &BTreeSet<String>) -> String {
         let (index, r) = index(source);
         let program = r.parse_module("m").unwrap();
         let expected = pylite::unparse(&rewrite_module(&program, kept));
-        let candidate = index.select(&index.keep_mask(kept));
-        assert_eq!(candidate.source, expected, "keep {kept:?}");
-        let reparsed = pylite::resolve_program(&pylite::parse(&expected).unwrap(), r.interner());
+        let linked = index.overlay(&r, &index.keep_mask(kept));
+        assert_eq!(linked.source("m"), Some(expected.as_str()), "keep {kept:?}");
         assert_eq!(
-            format!("{:?}", strip_sites(&candidate.program)),
-            format!("{:?}", strip_sites(&reparsed)),
+            import_m(&linked),
+            import_m(&r.with_module("m", expected.clone())),
+            "keep {kept:?}"
         );
-        candidate.source
-    }
-
-    /// Debug text of a resolved program with inline-cache site ids blanked
-    /// (they differ between two resolutions of the same text).
-    fn strip_sites(program: &RProgram) -> String {
-        let text = format!("{program:?}");
-        let mut out = String::with_capacity(text.len());
-        let mut rest = text.as_str();
-        while let Some(at) = rest.find("site: ") {
-            out.push_str(&rest[..at + 6]);
-            rest = rest[at + 6..].trim_start_matches(|c: char| c.is_ascii_digit());
-        }
-        out.push_str(rest);
-        out
+        expected
     }
 
     #[test]
-    fn empty_keep_set_selects_pass() {
-        let src = assert_select_matches("x = 1\ndef f():\n    pass\n", &keep(&[]));
+    fn empty_keep_set_links_pass() {
+        let src = assert_overlay_matches("x = 1\ndef f():\n    pass\n", &keep(&[]));
         assert_eq!(src, "pass\n");
     }
 
@@ -604,10 +658,10 @@ mod tests {
             keep(&["z"]),
             keep(&["y", "z", "d"]),
         ] {
-            assert_select_matches(module, &kept);
+            assert_overlay_matches(module, &kept);
         }
         assert_eq!(
-            assert_select_matches(module, &keep(&["d", "z"])),
+            assert_overlay_matches(module, &keep(&["d", "z"])),
             "import d\nfrom m import z\n"
         );
     }
@@ -618,19 +672,19 @@ mod tests {
         let (index, _) = index(module);
         assert_eq!(index.attributes(), ["*", "x"]);
         assert_eq!(
-            assert_select_matches(module, &keep(&["*"])),
+            assert_overlay_matches(module, &keep(&["*"])),
             "from m import *\n"
         );
-        assert_eq!(assert_select_matches(module, &keep(&["x"])), "x = 1\n");
+        assert_eq!(assert_overlay_matches(module, &keep(&["x"])), "x = 1\n");
     }
 
     #[test]
     fn tuple_unpack_assigns_survive_on_any_name() {
         let module = "a, (b, c) = (1, (2, 3))\n[d, e] = [4, 5]\nobj.attr = 6\n";
         for kept in [keep(&["a"]), keep(&["c"]), keep(&["e"]), keep(&[])] {
-            assert_select_matches(module, &kept);
+            assert_overlay_matches(module, &kept);
         }
-        assert_eq!(assert_select_matches(module, &keep(&[])), "obj.attr = 6\n");
+        assert_eq!(assert_overlay_matches(module, &keep(&[])), "obj.attr = 6\n");
     }
 
     #[test]
@@ -645,42 +699,121 @@ mod tests {
             keep(&["__version__"]),
             keep(&["x"]),
         ] {
-            assert_select_matches(module, &kept);
+            assert_overlay_matches(module, &kept);
         }
         assert_eq!(
-            assert_select_matches(module, &keep(&["__version__", "ghost"])),
+            assert_overlay_matches(module, &keep(&["__version__", "ghost"])),
             "__all__ = [\"x\"]\n(__v__, w) = (1, 2)\nfrom m import __version__\n"
         );
     }
 
     #[test]
-    fn select_stmts_matches_sliced_program() {
+    fn overlay_stmts_matches_sliced_program() {
         let module = "__lt_work__(3)\nimport a, b\nx = 1\ndef f():\n    return x\n";
         let (index, r) = index(module);
         let program = r.parse_module("m").unwrap();
         for kept in [vec![], vec![0], vec![1, 3], vec![3, 1], vec![0, 1, 2, 3, 9]] {
             let expected = pylite::unparse(&sliced_program(&program, &kept));
-            assert_eq!(index.select_stmts(&kept).source, expected);
+            let linked = index.overlay_stmts(&r, &kept);
+            assert_eq!(linked.source("m"), Some(expected.as_str()));
+            assert_eq!(import_m(&linked), import_m(&r.with_module("m", expected)));
         }
     }
 
     #[test]
-    fn a_module_that_does_not_print_back_fails_to_index() {
-        let program = Program {
-            body: vec![Stmt::Import { items: vec![] }],
+    fn compound_statements_run_from_their_ranges() {
+        // Loops, branches, `try`, classes and defaults jump or nest inside
+        // their own statement; dropping neighbours must not move a jump.
+        let module = "n = 0\nfor i in range(4):\n    if i == 2:\n        continue\n    n = n + i\nwhile n < 9:\n    n = n + 1\n    if n == 7:\n        break\ntry:\n    k = [1][2]\nexcept IndexError:\n    k = -1\nfinally:\n    n = n * 2\nclass C:\n    z = n + 1\ndef g(a=n):\n    return a\nprint(n, k, (n > 3 and k) or 5, [j for j in range(n) if j % 5 == 0])\n";
+        let (index, r) = index(module);
+        let count = r.parse_module("m").unwrap().body.len();
+        let program = r.parse_module("m").unwrap();
+        for drop in 0..count {
+            let kept: Vec<usize> = (0..count).filter(|&i| i != drop).collect();
+            let expected = pylite::unparse(&sliced_program(&program, &kept));
+            let linked = index.overlay_stmts(&r, &kept);
+            assert_eq!(import_m(&linked), import_m(&r.with_module("m", expected)));
+        }
+        let all: Vec<usize> = (0..count).collect();
+        assert_eq!(
+            import_m(&index.overlay_stmts(&r, &all)),
+            import_m(&r),
+            "linking every statement runs the module"
+        );
+    }
+
+    #[test]
+    fn a_statement_that_does_not_print_back_is_refused() {
+        // `1e400` is an infinite float, which prints as the name `inf`.
+        let mut r = Registry::new();
+        r.set_module("m", "x = 1\ny = 1e400\n");
+        let refused = ModuleIndex::new(&r, "m").err().expect("refused");
+        assert!(refused.message.contains("statement 1"), "{refused}");
+        r.set_module("m", "x = 1\ny = 1e300\n");
+        assert!(ModuleIndex::new(&r, "m").is_ok());
+    }
+
+    #[test]
+    fn the_index_shares_the_registry_trees_and_code() {
+        let (index, r) = index("def f():\n    return 1\ng = 2\n");
+        assert!(Arc::ptr_eq(&index.program, &r.parse_module("m").unwrap()));
+        assert!(Arc::ptr_eq(
+            &index.resolved,
+            &r.resolve_module("m").unwrap()
+        ));
+        assert!(Arc::ptr_eq(&index.code, &r.compile_module("m").unwrap()));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn live_probes_only_compile_cut_import_lists() {
+        let mut r = Registry::new();
+        r.set_module("a", "A = 1\n");
+        r.set_module("b", "B = 2\n");
+        r.set_module("m", "import a, b\ndef f():\n    return a.A\nx = 3\n");
+        let app = "import m\ndef handler(event, context):\n    return m.f()\n";
+        let spec = OracleSpec::new(vec![TestCase::event("{}")]);
+        let expected = crate::oracle::run_app(&r, app, &spec).unwrap();
+        let options = DebloatOptions::default();
+        let prober = Prober::new(&r, "m", app, &spec, &expected, &options, None).unwrap();
+        let ids = prober.ids();
+        // A sampled re-run from text (`oracle::check_live`) compiles the
+        // printed module once; those compiles are not the probe's.
+        let probe = |names: &[&str]| {
+            let keep = ids.keep_mask(&keep(names));
+            let compiles = pylite::bytecode::module_compiles();
+            let rechecks = crate::oracle::rechecks();
+            let (verdict, _) = prober.probe(Selection::Attrs {
+                keep: &keep,
+                extra: &[],
+            });
+            let rechecked = crate::oracle::rechecks() - rechecks;
+            let compiled = pylite::bytecode::module_compiles() - compiles - rechecked;
+            (verdict, compiled)
         };
-        let indexed = ModuleIndex::new(Arc::new(program), Arc::new(Interner::new()));
-        assert!(indexed.is_err());
+        assert_eq!(probe(&["a", "b", "f", "x"]), (true, 0));
+        assert_eq!(probe(&["a", "f"]), (true, 1), "`import a` is compiled");
+        assert_eq!(probe(&["f"]), (false, 0));
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn function_definitions_are_shared_across_selections() {
-        let (index, _) = index("def f():\n    return 1\ng = 2\n");
-        let all = index.select(&[true, true]);
-        let some = index.select(&[true, false]);
-        match (&all.program.body[0], &some.program.body[0]) {
-            (RStmt::FuncDef(a), RStmt::FuncDef(b)) => assert!(Arc::ptr_eq(a, b)),
-            other => panic!("expected two definitions, got {other:?}"),
+    fn every_eighth_live_probe_reruns_from_its_text() {
+        let mut r = Registry::new();
+        r.set_module("m", "x = 1\ny = 2\nz = 3\n");
+        let app = "import m\ndef handler(event, context):\n    return m.x\n";
+        let spec = OracleSpec::new(vec![TestCase::event("{}")]);
+        let expected = crate::oracle::run_app(&r, app, &spec).unwrap();
+        let options = DebloatOptions::default();
+        let prober = Prober::new(&r, "m", app, &spec, &expected, &options, None).unwrap();
+        let before = crate::oracle::rechecks();
+        for i in 0..16 {
+            let keep = [i % 2 == 0, true, true];
+            prober.probe(Selection::Attrs {
+                keep: &keep,
+                extra: &[],
+            });
         }
+        assert_eq!(crate::oracle::rechecks() - before, 2);
     }
 }

@@ -60,7 +60,7 @@ pub mod slicer;
 use std::fmt;
 
 pub use attributes::{is_magic, module_attributes};
-pub use candidate::{Candidate, ModuleIndex};
+pub use candidate::ModuleIndex;
 pub use debloater::{debloat_module, Algorithm, DebloatOptions, HazardMode, ModuleReport};
 pub use deployment::{package, wrapper_source, DeploymentPackage};
 pub use fallback::{
@@ -68,8 +68,8 @@ pub use fallback::{
 };
 pub use incremental::{retrim_with_log, IncrementalReport, TrimLog};
 pub use oracle::{
-    oracle_passes, run_app, run_app_measured, run_app_measured_opts, run_app_opts, Execution,
-    OracleSpec, TestCase,
+    oracle_passes, run_app, run_app_measured, run_app_measured_opts, run_app_opts,
+    run_app_profiled, Execution, OracleSpec, TestCase,
 };
 pub use pipeline::{trim_app, trim_corpus_parallel, CorpusJob, TrimReport};
 pub use probe_cache::{app_fingerprint, ProbeCache, ProbeKey};

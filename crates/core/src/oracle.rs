@@ -11,6 +11,7 @@
 use pylite::ast::Expr;
 use pylite::{parse_expr, py_repr, Engine, ExcKind, Interpreter, PyErr, ReadSet, Registry, Value};
 use std::sync::Arc;
+use trim_profiler::{profile_from_interpreter, Profile};
 
 /// One oracle test case: the JSON-like event and the invocation context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -190,6 +191,24 @@ pub fn run_app_measured_opts(
     run_app_measured(registry, app_source, spec)
 }
 
+/// [`run_app`] that also returns the profile of the run's initialization:
+/// [`profile_from_interpreter`] taken right after `exec_main`, which is
+/// what [`trim_profiler::profile_app`] measures in an interpreter of its
+/// own.
+///
+/// # Errors
+///
+/// Any pylite exception raised during initialization or by the handler.
+pub fn run_app_profiled(
+    registry: &Registry,
+    app_source: &str,
+    spec: &OracleSpec,
+) -> Result<(Execution, Profile), PyErr> {
+    let (run, profile) = run_baseline(registry, app_source, spec);
+    run.result
+        .map(|before| (before, profile.expect("a passing run initialized")))
+}
+
 /// One finished oracle run: its outcome, the virtual seconds it took
 /// regardless of success, and the registry modules it read
 /// ([`Interpreter::read_set`]).
@@ -209,19 +228,52 @@ pub(crate) fn run_oracle(registry: &Registry, app_source: &str, spec: &OracleSpe
 }
 
 fn fresh_run(registry: &Registry, app_source: &str, spec: &OracleSpec) -> OracleRun {
+    fresh_run_profiled(registry, app_source, spec, false).0
+}
+
+/// [`run_oracle`] for a trim's baseline: also returns the profile of the
+/// run's initialization when it got that far ([`run_app_profiled`]), so
+/// ranking needs no interpreter of its own.
+pub(crate) fn run_baseline(
+    registry: &Registry,
+    app_source: &str,
+    spec: &OracleSpec,
+) -> (OracleRun, Option<Profile>) {
+    #[cfg(debug_assertions)]
+    ORACLE_RUNS.with(|runs| runs.set(runs.get() + 1));
+    fresh_run_profiled(registry, app_source, spec, true)
+}
+
+/// A fresh run, and with `profile`, the profile of its initialization.
+fn fresh_run_profiled(
+    registry: &Registry,
+    app_source: &str,
+    spec: &OracleSpec,
+    profile: bool,
+) -> (OracleRun, Option<Profile>) {
     let mut interp = Interpreter::new(registry.clone());
-    let result = run_app_inner(&mut interp, app_source, spec);
-    OracleRun {
+    let mut init = None;
+    let result = match interp.exec_main(app_source) {
+        Ok(_) => {
+            init = profile.then(|| profile_from_interpreter(&interp));
+            run_cases(&mut interp, spec)
+        }
+        Err(e) => Err(e),
+    };
+    let run = OracleRun {
         result,
         secs: interp.meter.clock_secs(),
         reads: interp.read_set().clone(),
-    }
+    };
+    (run, init)
 }
 
 #[cfg(debug_assertions)]
 thread_local! {
     static ORACLE_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static ANSWERS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static LIVE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    static RECHECKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// The number of oracle runs started on the calling thread (debug builds
@@ -316,25 +368,68 @@ pub(crate) fn check_answer(
     expected: &Execution,
     secs: f64,
 ) {
-    let answers = ANSWERS.with(|n| n.replace(n.get() + 1));
-    if !answers.is_multiple_of(8) {
-        return;
+    if sampled(&ANSWERS) {
+        recheck(&registry(), app_source, spec, expected, true, secs);
     }
-    let run = fresh_run(&registry(), app_source, spec);
-    let passes = matches!(&run.result, Ok(actual) if actual.behavior_eq(expected));
+}
+
+/// Debug builds re-run every eighth live probe over a linked candidate
+/// (DESIGN.md §16) fresh from its printed text, and assert the same
+/// verdict in exactly the same seconds. `registry` builds the plain-text
+/// registry; it is only called for the sampled probes, which are not
+/// counted in [`oracle_runs`].
+#[cfg(debug_assertions)]
+pub(crate) fn check_live(
+    registry: impl FnOnce() -> Registry,
+    app_source: &str,
+    spec: &OracleSpec,
+    expected: &Execution,
+    passes: bool,
+    secs: f64,
+) {
+    if sampled(&LIVE) {
+        recheck(&registry(), app_source, spec, expected, passes, secs);
+    }
+}
+
+/// Count a call on `counter`: every eighth call, the first included, is
+/// sampled.
+#[cfg(debug_assertions)]
+fn sampled(counter: &'static std::thread::LocalKey<std::cell::Cell<u64>>) -> bool {
+    counter.with(|n| n.replace(n.get() + 1)).is_multiple_of(8)
+}
+
+/// Run the app fresh over `registry` and assert it gives `passes` in
+/// exactly `secs`.
+#[cfg(debug_assertions)]
+fn recheck(
+    registry: &Registry,
+    app_source: &str,
+    spec: &OracleSpec,
+    expected: &Execution,
+    passes: bool,
+    secs: f64,
+) {
+    RECHECKS.with(|n| n.set(n.get() + 1));
+    let run = fresh_run(registry, app_source, spec);
+    let fresh = matches!(&run.result, Ok(actual) if actual.behavior_eq(expected));
     assert!(
-        passes && run.secs.to_bits() == secs.to_bits(),
-        "an answered run must equal a fresh one: fresh run passes={passes} in {}s, answered {secs}s",
+        fresh == passes && run.secs.to_bits() == secs.to_bits(),
+        "a fresh run must equal the one it checks: fresh run passes={fresh} in {}s, checked passes={passes} in {secs}s",
         run.secs
     );
 }
 
-fn run_app_inner(
-    interp: &mut Interpreter,
-    app_source: &str,
-    spec: &OracleSpec,
-) -> Result<Execution, PyErr> {
-    interp.exec_main(app_source)?;
+/// The number of sampled fresh re-runs [`check_answer`] and
+/// [`check_live`] made on the calling thread.
+#[cfg(all(test, debug_assertions))]
+pub(crate) fn rechecks() -> u64 {
+    RECHECKS.with(std::cell::Cell::get)
+}
+
+/// Call the handler on every case of an interpreter that ran the app's
+/// initialization, and capture the run's behaviour.
+fn run_cases(interp: &mut Interpreter, spec: &OracleSpec) -> Result<Execution, PyErr> {
     let init_secs = interp.meter.clock_secs();
     let mut results = Vec::with_capacity(spec.cases.len());
     let exec_start = interp.meter.clock_secs();

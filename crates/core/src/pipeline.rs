@@ -2,14 +2,14 @@
 //! cost profiler → DD debloater, producing a deployable trimmed registry.
 
 use crate::debloater::{debloat_step, DebloatOptions, HazardMode, ModuleReport};
-use crate::oracle::{run_app, run_oracle, Execution, OracleSpec, RunRecord};
+use crate::oracle::{run_app, run_baseline, Execution, OracleSpec, RunRecord};
 use crate::slicer::{slice_step, SliceReport};
 use crate::TrimError;
 use pylite::Registry;
 use std::collections::{BTreeMap, BTreeSet};
 use trim_analysis::lints::Lint;
 use trim_analysis::{AnalysisMode, AnalysisOptions};
-use trim_profiler::{profile_app, top_k};
+use trim_profiler::top_k;
 
 /// The complete result of trimming one application.
 #[derive(Debug, Clone, PartialEq)]
@@ -102,9 +102,11 @@ pub fn trim_app(
     }
     // 1. Baseline run. It seeds the run record (DESIGN.md §18): the last
     //    passing run over the working registry, which answers every probe
-    //    and verify of a module it never read.
-    let baseline = run_oracle(registry, app_source, spec);
+    //    and verify of a module it never read. Its initialization is also
+    //    the profile step 3 ranks by.
+    let (baseline, profile) = run_baseline(registry, app_source, spec);
     let before = baseline.result.map_err(TrimError::Baseline)?;
+    let profile = profile.expect("a passing baseline initialized");
     let mut record = Some(RunRecord::new(
         registry.clone(),
         baseline.secs,
@@ -131,8 +133,8 @@ pub fn trim_app(
     let analyzer = trim_analysis::Analyzer::new(&program, &analysis_options);
     let full = analyzer.full(registry);
 
-    // 3. Cost profiling + top-K ranking.
-    let profile = profile_app(app_source, registry).map_err(TrimError::Baseline)?;
+    // 3. Top-K ranking by the baseline's profile: the same fresh-run
+    //    measurement `profile_app` makes.
     let targets: Vec<String> = top_k(&profile, options.scoring, options.k)
         .into_iter()
         .filter(|m| registry.contains(m))
@@ -581,7 +583,7 @@ mod tests {
 mod record_tests {
     use super::*;
     use crate::debloater::debloat_module;
-    use crate::oracle::{oracle_runs, TestCase};
+    use crate::oracle::{oracle_runs, run_oracle, TestCase};
     use crate::probe_cache::ProbeCache;
     use crate::slicer::slice_modules;
 

@@ -34,10 +34,18 @@
 //! - **Inline caches.** `mod.attr` sites keep their resolved-IR site ids,
 //!   which key the generation-checked inline caches (DESIGN.md §8) and the
 //!   per-site hit/miss counters.
+//! - **Linked bodies.** A module code object records where each top-level
+//!   statement starts in block 0. Owed ticks flush before every statement
+//!   prologue, so a statement's instructions are exactly what compiling it
+//!   alone would emit, and its jumps stay inside its range. A
+//!   [`LinkedBody`] runs ranges of statements of shared code objects in
+//!   order, which is how a DD probe runs a candidate module without
+//!   compiling it (DESIGN.md §16).
 
 use crate::ast::{BinOp, BoolOp, CmpOp, UnaryOp};
 use crate::intern::Symbol;
 use crate::resolved::{RClassDef, RExpr, RFromName, RFuncDef, RImportItem, RProgram, RStmt};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Sentinel block id for "no block" (empty `else` / `finally`, no cond).
@@ -238,6 +246,9 @@ struct CComp {
 #[derive(Debug, Default)]
 pub struct CodeObj {
     blocks: Vec<Box<[Insn]>>,
+    /// Where each top-level statement starts in block 0 (module code
+    /// objects only; empty for function bodies).
+    stmt_starts: Box<[u32]>,
     consts: Vec<Const>,
     strs: Vec<Arc<str>>,
     kwnames: Vec<Box<[Symbol]>>,
@@ -250,11 +261,28 @@ pub struct CodeObj {
     for_targets: Vec<Box<[Symbol]>>,
 }
 
-/// Compile a resolved module body into a [`CodeObj`] (entry = block 0).
+/// Compile a resolved module body into a [`CodeObj`] (entry = block 0),
+/// recording where each top-level statement starts.
 pub fn compile_program(program: &RProgram) -> CodeObj {
+    #[cfg(debug_assertions)]
+    MODULE_COMPILES.with(|n| n.set(n.get() + 1));
     let mut c = Compiler::new();
-    c.entry(&program.body);
+    let starts = c.entry(&program.body);
+    c.code.stmt_starts = starts.into_boxed_slice();
     c.code
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static MODULE_COMPILES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The number of [`compile_program`] calls made on the calling thread
+/// (debug builds only): every module, `__main__` and linked `import` list
+/// compile. Function bodies compile separately and are not counted.
+#[cfg(debug_assertions)]
+pub fn module_compiles() -> u64 {
+    MODULE_COMPILES.with(std::cell::Cell::get)
 }
 
 /// Compiled bytecode for a function body, compiled on first call and
@@ -265,6 +293,63 @@ pub(crate) fn func_code(def: &Arc<RFuncDef>) -> Arc<CodeObj> {
         c.entry(&def.body);
         Arc::new(c.code)
     }))
+}
+
+impl CodeObj {
+    /// The number of top-level statements of a module code object.
+    pub fn stmt_count(&self) -> usize {
+        self.stmt_starts.len()
+    }
+
+    /// The instructions of top-level statement `stmt` in block 0.
+    fn stmt_pcs(&self, stmt: usize) -> Range<u32> {
+        let end = match self.stmt_starts.get(stmt + 1) {
+            Some(&next) => next,
+            None => self.blocks[0].len() as u32,
+        };
+        self.stmt_starts[stmt]..end
+    }
+}
+
+/// A module body linked from compiled code: ranges of top-level
+/// statements of module code objects, run in order in the module's one
+/// environment. Running a link runs exactly the instructions compiling
+/// its statements alone would emit, so a linked body behaves like the
+/// compiled concatenation of its statements: same meter, same errors.
+#[derive(Debug, Default)]
+pub struct LinkedBody {
+    links: Vec<(Arc<CodeObj>, Range<u32>)>,
+}
+
+impl LinkedBody {
+    /// Append top-level statement `stmt` of `code`, a module code object.
+    /// A statement that directly follows the last link in the same code
+    /// object extends that link.
+    ///
+    /// # Panics
+    ///
+    /// `stmt` is not a top-level statement of `code`.
+    pub fn push_stmt(&mut self, code: &Arc<CodeObj>, stmt: usize) {
+        let pcs = code.stmt_pcs(stmt);
+        if let Some((last, range)) = self.links.last_mut() {
+            if Arc::ptr_eq(last, code) && range.end == pcs.start {
+                range.end = pcs.end;
+                return;
+            }
+        }
+        self.links.push((Arc::clone(code), pcs));
+    }
+
+    /// Append the whole body of `code`.
+    pub fn push_code(&mut self, code: Arc<CodeObj>) {
+        let pcs = 0..code.blocks[0].len() as u32;
+        self.links.push((code, pcs));
+    }
+
+    /// Whether the body runs no statement.
+    pub fn is_empty(&self) -> bool {
+        self.links.is_empty()
+    }
 }
 
 // -- compiler -------------------------------------------------------------
@@ -391,11 +476,22 @@ impl Compiler {
         }
     }
 
-    /// Compile `stmts` as block 0 of the code object.
-    fn entry(&mut self, stmts: &[RStmt]) {
+    /// Compile `stmts` as block 0 of the code object and return where each
+    /// statement starts in it. A statement starts at its prologue, after
+    /// the ticks the previous statement owes are flushed, as
+    /// `emit_stmt_tick` flushes them.
+    fn entry(&mut self, stmts: &[RStmt]) -> Vec<u32> {
         self.code.blocks.push(Box::from([]));
-        let block = self.build_stmts(stmts);
-        self.code.blocks[0] = self.code.blocks.remove(block as usize);
+        let mut b = BlockBuilder::new();
+        let mut starts = Vec::with_capacity(stmts.len());
+        for s in stmts {
+            b.flush();
+            starts.push(b.insns.len() as u32);
+            self.stmt(&mut b, s);
+        }
+        b.barrier();
+        self.code.blocks[0] = b.insns.into_boxed_slice();
+        starts
     }
 
     fn build_stmts(&mut self, stmts: &[RStmt]) -> u32 {
@@ -920,6 +1016,20 @@ impl Interpreter {
         top_level(self.with_pooled_frame(code, env)?)
     }
 
+    /// Run a linked module body in `env`, link by link in one pooled
+    /// frame: the operand stacks are empty between top-level statements.
+    pub(crate) fn vm_exec_linked(&mut self, body: &LinkedBody, env: &mut Env) -> Result<(), PyErr> {
+        let mut frame = self.vm_frames.pop().unwrap_or_default();
+        let result = body.links.iter().try_for_each(|(code, pcs)| {
+            let pcs = pcs.start as usize..pcs.end as usize;
+            top_level(self.run_pcs(code, 0, pcs, env, &mut frame)?)
+        });
+        frame.stack.clear();
+        frame.iters.clear();
+        self.vm_frames.push(frame);
+        result
+    }
+
     /// Run a compiled function body and return its control-flow outcome.
     pub(crate) fn vm_run_suite(&mut self, code: &CodeObj, env: &mut Env) -> Result<Flow, PyErr> {
         self.with_pooled_frame(code, env)
@@ -944,8 +1054,23 @@ impl Interpreter {
         env: &mut Env,
         frame: &mut VmFrame,
     ) -> Result<Flow, PyErr> {
-        let insns: &[Insn] = &code.blocks[block as usize];
-        let mut pc = 0usize;
+        let len = code.blocks[block as usize].len();
+        self.run_pcs(code, block, 0..len, env, frame)
+    }
+
+    /// Run the instructions `pcs` of `block`. Every jump of a top-level
+    /// statement stays inside the statement, so a range of whole
+    /// statements runs as the statements would alone.
+    fn run_pcs(
+        &mut self,
+        code: &CodeObj,
+        block: u32,
+        pcs: Range<usize>,
+        env: &mut Env,
+        frame: &mut VmFrame,
+    ) -> Result<Flow, PyErr> {
+        let insns: &[Insn] = &code.blocks[block as usize][..pcs.end];
+        let mut pc = pcs.start;
         while let Some(insn) = insns.get(pc) {
             match insn {
                 Insn::StmtTick { extra } => {
@@ -1784,6 +1909,59 @@ mod tests {
                 "{source}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn float_power_overflow_and_fractional_negative_bases_raise() {
+        let out = agree(
+            "print(2.0 ** 1023, (-8.0) ** 3.0, (-2) ** -1, 4.0 ** 0.5)\n\
+             print(float(\"inf\") ** 2, 10.0 ** -400, (-8.0) ** float(\"inf\"))\n",
+        );
+        assert_eq!(
+            out.stdout,
+            ["8.98846567431158e+307 -512.0 -0.5 2.0", "inf 0.0 inf"]
+        );
+        for (source, error) in [
+            (
+                "x = 10.0 ** 400\n",
+                "OverflowError: (34, 'Numerical result out of range')",
+            ),
+            (
+                "x = 0.5 ** -2000\n",
+                "OverflowError: (34, 'Numerical result out of range')",
+            ),
+            (
+                "x = (-8.0) ** 0.5\n",
+                "ValueError: negative number cannot be raised to a fractional power",
+            ),
+            (
+                "x = (-8) ** -0.5\n",
+                "ValueError: negative number cannot be raised to a fractional power",
+            ),
+        ] {
+            let err = agree(source).result.unwrap_err();
+            assert!(err.contains(error), "{source}: {err}");
+        }
+        let caught =
+            agree("try:\n    x = 10.0 ** 400\nexcept OverflowError as e:\n    x = str(e)\n");
+        assert!(caught.result.is_ok(), "{:?}", caught.result);
+    }
+
+    #[test]
+    fn float_repr_follows_python() {
+        let out = agree(
+            "print(2 ** 1000.0, 1e16, 1e15, 1e-07, 1.5e-5, 0.0001)\n\
+             print(float(\"nan\"), float(\"inf\"), -float(\"inf\"), -0.0, [1e22, 0.1])\n\
+             print(str(1e-5), repr(2.5e-300))\n",
+        );
+        assert_eq!(
+            out.stdout,
+            [
+                "1.0715086071862673e+301 1e+16 1000000000000000.0 1e-07 1.5e-05 0.0001",
+                "nan inf -inf -0.0 [1e+22, 0.1]",
+                "1e-05 2.5e-300",
+            ]
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use crate::ast::{BinOp, CmpOp, UnaryOp};
 use crate::cost::{mb_to_bytes, ms_to_ns, CostModel, Meter};
 use crate::intern::{Interner, Symbol, SymbolHashBuilder};
-use crate::registry::Registry;
+use crate::registry::{ModuleCode, Registry};
 use crate::resolved::{RClassDef, RFuncDef};
 use crate::value::{
     py_eq, py_repr, py_str, Builtin, ExcKind, ModuleObj, Namespace, NativeMethod, PyClass, PyErr,
@@ -557,7 +557,7 @@ impl Interpreter {
         let name_sym = self.note_read(dotted);
         let code = self
             .registry
-            .compile_module(dotted)
+            .module_code(dotted)
             .map_err(|e| PyErr::new(ExcKind::ImportError, format!("{dotted}: {e}")))?;
         self.meter.tick(self.cost.import_ns);
         self.meter.alloc(self.cost.module_base_bytes);
@@ -589,13 +589,13 @@ impl Interpreter {
             let program = self
                 .registry
                 .resolve_module(dotted)
-                .expect("compiled above");
+                .expect("a module that compiles or links parses");
             self.exec_block(&program.body, &mut env)
         } else {
-            self.vm_exec_block(&code, &mut env)
+            self.exec_module_code(&code, &mut env)
         };
         #[cfg(not(any(test, feature = "reference")))]
-        let result = self.vm_exec_block(&code, &mut env);
+        let result = self.exec_module_code(&code, &mut env);
         self.import_depth -= 1;
         match result {
             Ok(()) => {
@@ -613,6 +613,14 @@ impl Interpreter {
                 self.modules.evict(dotted);
                 Err(e)
             }
+        }
+    }
+
+    /// Run a module body, linked or compiled, in `env`.
+    fn exec_module_code(&mut self, code: &ModuleCode, env: &mut Env) -> Result<(), PyErr> {
+        match code {
+            ModuleCode::Linked(body) => self.vm_exec_linked(body, env),
+            ModuleCode::Compiled(code) => self.vm_exec_block(code, env),
         }
     }
 
@@ -2358,9 +2366,11 @@ fn float_div_mod(a: f64, b: f64) -> (f64, f64) {
     (floor_div, rem)
 }
 
-/// Python's `a ** b` on floats (and on ints with a negative exponent): a
-/// zero base raised to a negative finite power raises
-/// `ZeroDivisionError`, as in CPython's `float_pow`.
+/// Python's `a ** b` on floats (and on ints with a negative exponent), as
+/// in CPython's `float_pow`: a zero base raised to a negative finite power
+/// raises `ZeroDivisionError`, finite operands whose result overflows raise
+/// `OverflowError`, and a negative finite base with a finite non-integral
+/// exponent raises `ValueError` (CPython returns a complex number).
 fn float_pow(a: f64, b: f64) -> Result<f64, PyErr> {
     if a == 0.0 && b < 0.0 && b.is_finite() {
         return Err(PyErr::new(
@@ -2368,7 +2378,20 @@ fn float_pow(a: f64, b: f64) -> Result<f64, PyErr> {
             "0.0 cannot be raised to a negative power",
         ));
     }
-    Ok(a.powf(b))
+    if a < 0.0 && a.is_finite() && b.is_finite() && b.fract() != 0.0 {
+        return Err(PyErr::new(
+            ExcKind::ValueError,
+            "negative number cannot be raised to a fractional power",
+        ));
+    }
+    let out = a.powf(b);
+    if out.is_infinite() && a.is_finite() && b.is_finite() {
+        return Err(PyErr::new(
+            ExcKind::OverflowError,
+            "(34, 'Numerical result out of range')",
+        ));
+    }
+    Ok(out)
 }
 
 /// Reject keyword arguments to a callee that takes none, with CPython's

@@ -50,7 +50,7 @@ pub mod resolved;
 pub mod value;
 
 pub use ast::{unparse, unparse_stmt, Program, Stmt};
-pub use bytecode::{compile_program, CodeObj};
+pub use bytecode::{compile_program, CodeObj, LinkedBody};
 pub use cost::{CostModel, Meter};
 pub use intern::{Interner, Symbol, SymbolHashBuilder};
 pub use interp::{Engine, IcSiteStats, ImportEvent, Interpreter, ReadSet};

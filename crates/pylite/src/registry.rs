@@ -19,7 +19,7 @@
 //! verdicts on it to share results across runs.
 
 use crate::ast::Program;
-use crate::bytecode::CodeObj;
+use crate::bytecode::{CodeObj, LinkedBody};
 use crate::intern::Interner;
 use crate::parser::{parse, ParseError};
 use crate::resolved::{resolve_program, RProgram};
@@ -47,7 +47,7 @@ impl fmt::Debug for SummarySlot {
 }
 
 /// One registry entry: shared source text plus shared, lazily filled parse
-/// and resolve slots. Cloning an entry is four reference-count bumps.
+/// and resolve slots. Cloning an entry is a few reference-count bumps.
 #[derive(Debug, Clone)]
 struct ModuleEntry {
     source: Arc<str>,
@@ -58,6 +58,9 @@ struct ModuleEntry {
     parsed: Arc<OnceLock<Result<Arc<Program>, ParseError>>>,
     resolved: Arc<OnceLock<Result<Arc<RProgram>, ParseError>>>,
     bytecode: Arc<OnceLock<Result<Arc<CodeObj>, ParseError>>>,
+    /// The body an import runs instead of compiling `source`, when the
+    /// entry was installed by [`Registry::with_module_linked`].
+    linked: Option<Arc<LinkedBody>>,
     summary: SummarySlot,
 }
 
@@ -70,9 +73,17 @@ impl ModuleEntry {
             parsed: Arc::new(OnceLock::new()),
             resolved: Arc::new(OnceLock::new()),
             bytecode: Arc::new(OnceLock::new()),
+            linked: None,
             summary: SummarySlot::default(),
         }
     }
+}
+
+/// What importing a module runs: a linked body, or the module's compiled
+/// code.
+pub(crate) enum ModuleCode {
+    Linked(Arc<LinkedBody>),
+    Compiled(Arc<CodeObj>),
 }
 
 /// Stable FNV-1a hash of one `(name, source)` pair with a final avalanche,
@@ -229,23 +240,23 @@ impl Registry {
         overlay
     }
 
-    /// [`with_module`](Registry::with_module) for a module whose resolved
-    /// tree the caller already holds: `resolved` must be what
-    /// [`resolve_module`](Registry::resolve_module) would produce for
-    /// `source` against this registry's interner. The source is hashed
-    /// exactly as `set_module` hashes it, so fingerprints (and every cache
-    /// keyed by them) cannot tell the two overlays apart; the parse slot
-    /// stays lazy.
+    /// [`with_module`](Registry::with_module) for a module whose code the
+    /// caller has linked from compiled statements: importing the module
+    /// runs `body`, which must behave exactly as compiling `source` would.
+    /// The source is hashed exactly as `set_module` hashes it, so
+    /// fingerprints (and every cache keyed by them) cannot tell the two
+    /// overlays apart. The parse, resolve and bytecode slots stay lazy:
+    /// they fill from `source` only when asked.
     #[must_use]
-    pub fn with_module_resolved(
+    pub fn with_module_linked(
         &self,
         name: impl Into<String>,
         source: impl Into<Arc<str>>,
-        resolved: Arc<RProgram>,
+        body: LinkedBody,
     ) -> Registry {
         let name = name.into();
-        let entry = ModuleEntry::new(&name, source);
-        let _ = entry.resolved.set(Ok(resolved));
+        let mut entry = ModuleEntry::new(&name, source);
+        entry.linked = Some(Arc::new(body));
         let mut overlay = self.clone();
         overlay.insert_entry(name, entry);
         overlay
@@ -351,6 +362,15 @@ impl Registry {
                 Ok(Arc::new(crate::bytecode::compile_program(&resolved)))
             })
             .clone()
+    }
+
+    /// What importing `name` runs: its linked body, if it has one, else
+    /// its compiled code ([`compile_module`](Registry::compile_module)).
+    pub(crate) fn module_code(&self, name: &str) -> Result<ModuleCode, ParseError> {
+        match self.modules.get(name).and_then(|e| e.linked.as_ref()) {
+            Some(body) => Ok(ModuleCode::Linked(Arc::clone(body))),
+            None => self.compile_module(name).map(ModuleCode::Compiled),
+        }
     }
 
     /// Parse, resolve and bytecode-compile an application (`__main__`)
@@ -604,20 +624,39 @@ mod tests {
     }
 
     #[test]
-    fn resolved_overlay_matches_plain_overlay() {
+    fn linked_overlay_matches_plain_overlay() {
         let mut r = Registry::new();
         r.set_module("a", "x = 1\n");
         r.set_module("b", "y = 2\n");
         let source = "x = 9\n";
-        let resolved = Arc::new(resolve_program(&parse(source).unwrap(), r.interner()));
+        let code = Arc::new(crate::compile_program(&resolve_program(
+            &parse(source).unwrap(),
+            r.interner(),
+        )));
+        let mut body = LinkedBody::default();
+        body.push_stmt(&code, 0);
         let plain = r.with_module("a", source);
-        let pre = r.with_module_resolved("a", source, resolved.clone());
-        assert_eq!(pre.fingerprint(), plain.fingerprint());
-        assert_eq!(pre.module_fingerprint("a"), plain.module_fingerprint("a"));
-        assert_eq!(pre, plain);
-        assert!(Arc::ptr_eq(&pre.resolve_module("a").unwrap(), &resolved));
-        assert_eq!(*pre.parse_module("a").unwrap(), parse(source).unwrap());
+        let linked = r.with_module_linked("a", source, body);
+        assert_eq!(linked.fingerprint(), plain.fingerprint());
+        assert_eq!(
+            linked.module_fingerprint("a"),
+            plain.module_fingerprint("a")
+        );
+        assert_eq!(linked, plain);
+        assert!(matches!(linked.module_code("a"), Ok(ModuleCode::Linked(_))));
+        assert!(matches!(
+            linked.module_code("b"),
+            Ok(ModuleCode::Compiled(_))
+        ));
+        assert_eq!(*linked.parse_module("a").unwrap(), parse(source).unwrap());
+        assert_eq!(linked.compile_module("a").unwrap().stmt_count(), 1);
         assert_eq!(r.source("a"), Some("x = 1\n"), "base untouched");
+        let mut copy = linked.clone();
+        copy.set_module("a", source);
+        assert!(
+            matches!(copy.module_code("a"), Ok(ModuleCode::Compiled(_))),
+            "set_module drops the linked body"
+        );
     }
 
     #[test]

@@ -541,6 +541,8 @@ pub enum ExcKind {
     KeyError,
     /// Division or modulo by zero.
     ZeroDivisionError,
+    /// A float result too large to represent.
+    OverflowError,
     /// Generic runtime error (also used for `raise Exception(..)`).
     RuntimeError,
     /// `assert` failure.
@@ -563,6 +565,7 @@ impl ExcKind {
             ExcKind::IndexError => "IndexError",
             ExcKind::KeyError => "KeyError",
             ExcKind::ZeroDivisionError => "ZeroDivisionError",
+            ExcKind::OverflowError => "OverflowError",
             ExcKind::RuntimeError => "RuntimeError",
             ExcKind::AssertionError => "AssertionError",
             ExcKind::ResourceExhausted => "ResourceExhausted",
@@ -582,6 +585,7 @@ impl ExcKind {
             "IndexError",
             "KeyError",
             "ZeroDivisionError",
+            "OverflowError",
             "RuntimeError",
             "AssertionError",
         ]
@@ -598,6 +602,7 @@ impl ExcKind {
             "IndexError" => ExcKind::IndexError,
             "KeyError" => ExcKind::KeyError,
             "ZeroDivisionError" => ExcKind::ZeroDivisionError,
+            "OverflowError" => ExcKind::OverflowError,
             "RuntimeError" | "Exception" => ExcKind::RuntimeError,
             "AssertionError" => ExcKind::AssertionError,
             other => ExcKind::Custom(other.to_owned()),
@@ -830,6 +835,45 @@ pub fn py_str(v: &Value) -> String {
     }
 }
 
+/// CPython's `repr` of a float: the shortest digits that round-trip, in
+/// scientific notation when the decimal exponent is below -4 or at least
+/// 16 (`1e+16`, `1.5e-05`), else positional with at least one fractional
+/// digit (`1000.0`, `0.0001`); `nan`, `inf` and `-inf` by name.
+fn float_repr(f: f64) -> String {
+    if f.is_nan() {
+        return "nan".into();
+    }
+    if f.is_infinite() {
+        return if f > 0.0 { "inf" } else { "-inf" }.into();
+    }
+    // Rust's `{:e}` prints the shortest round-trip digits as `d.ddde<exp>`.
+    let sci = format!("{f:e}");
+    let (mantissa, exp) = sci.split_once('e').expect("`{:e}` has an exponent");
+    let exp: i32 = exp.parse().expect("`{:e}` exponent is an integer");
+    let (sign, mantissa) = match mantissa.strip_prefix('-') {
+        Some(m) => ("-", m),
+        None => ("", mantissa),
+    };
+    let digits = mantissa.replace('.', "");
+    if !(-4..16).contains(&exp) {
+        let (first, rest) = digits.split_at(1);
+        let point = if rest.is_empty() { "" } else { "." };
+        let exp_sign = if exp < 0 { '-' } else { '+' };
+        format!("{sign}{first}{point}{rest}e{exp_sign}{:02}", exp.abs())
+    } else if exp < 0 {
+        let zeros = "0".repeat((-exp - 1) as usize);
+        format!("{sign}0.{zeros}{digits}")
+    } else {
+        let point = exp as usize + 1;
+        if digits.len() <= point {
+            let zeros = "0".repeat(point - digits.len());
+            format!("{sign}{digits}{zeros}.0")
+        } else {
+            format!("{sign}{}.{}", &digits[..point], &digits[point..])
+        }
+    }
+}
+
 /// `repr(x)` rendering.
 pub fn py_repr(v: &Value) -> String {
     match v {
@@ -837,14 +881,7 @@ pub fn py_repr(v: &Value) -> String {
         Value::Bool(true) => "True".into(),
         Value::Bool(false) => "False".into(),
         Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            let s = f.to_string();
-            if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-                s
-            } else {
-                format!("{s}.0")
-            }
-        }
+        Value::Float(f) => float_repr(*f),
         Value::Str(s) => format!("{:?}", &**s),
         Value::List(items) => {
             let inner: Vec<String> = items.borrow().iter().map(py_repr).collect();
@@ -980,6 +1017,26 @@ mod tests {
     #[test]
     fn repr_formats() {
         assert_eq!(py_repr(&Value::Float(2.0)), "2.0");
+        for (f, repr) in [
+            (2f64.powf(1000.0), "1.0715086071862673e+301"),
+            (1e16, "1e+16"),
+            (1e15, "1000000000000000.0"),
+            (123456789012345.6, "123456789012345.6"),
+            (1e-7, "1e-07"),
+            (1.5e-5, "1.5e-05"),
+            (1e-4, "0.0001"),
+            (0.000123, "0.000123"),
+            (-2.5e-300, "-2.5e-300"),
+            (0.1, "0.1"),
+            (-0.0, "-0.0"),
+            (f64::NAN, "nan"),
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+            (f64::MAX, "1.7976931348623157e+308"),
+            (5e-324, "5e-324"),
+        ] {
+            assert_eq!(py_repr(&Value::Float(f)), repr, "{f:e}");
+        }
         assert_eq!(py_repr(&Value::str("hi")), "\"hi\"");
         assert_eq!(py_repr(&Value::tuple(vec![Value::Int(1)])), "(1,)");
         assert_eq!(py_str(&Value::str("hi")), "hi");

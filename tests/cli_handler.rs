@@ -132,6 +132,21 @@ fn integer_and_repetition_edge_cases_end_in_a_result_or_a_typed_error() {
             "int(float(\"nan\"))",
             "ValueError: cannot convert float NaN to integer",
         ),
+        ("2 ** 1000.0", "=> 1.0715086071862673e+301"),
+        ("1e16", "=> 1e+16"),
+        ("1e-07", "=> 1e-07"),
+        ("1.5e-5", "=> 1.5e-05"),
+        ("float(\"nan\")", "=> nan"),
+        ("1e15", "=> 1000000000000000.0"),
+        ("0.0001", "=> 0.0001"),
+        (
+            "10.0 ** 400",
+            "OverflowError: (34, 'Numerical result out of range')",
+        ),
+        (
+            "(-8.0) ** 0.5",
+            "ValueError: negative number cannot be raised to a fractional power",
+        ),
     ];
     for (expr, expected) in cases {
         fs::write(

@@ -11,6 +11,10 @@
 //!
 //! The mini corpus is also trimmed with two analysis jobs: the worker
 //! count may not move a report, so its sections must equal the golden's.
+//! And it is trimmed once per option path a default pass does not take
+//! (greedy minimization, app-only analysis, blanket hazards, no slicing):
+//! those reports are the golden's `== [option] app` sections, after the
+//! default ones.
 //!
 //! Debug builds also count the oracle runs the corpus pass starts: a
 //! deterministic number that only falls when more runs are answered
@@ -24,8 +28,10 @@
 //! ```
 
 use lambda_trim::trim_core::oracle::Execution;
+use lambda_trim::trim_core::{Algorithm, AnalysisMode, HazardMode};
 use lambda_trim::{DebloatOptions, TrimReport};
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/corpus_trims.txt");
 
@@ -122,6 +128,29 @@ fn golden() -> String {
         .expect("golden fixture exists; regenerate with LT_UPDATE_GOLDEN=1")
 }
 
+/// Where the option sections start: the first `== [` header, or the end.
+fn options_start(golden: &str) -> usize {
+    golden.find("\n== [").map_or(golden.len(), |at| at + 1)
+}
+
+/// Serializes regeneration: both golden tests rewrite their part of the
+/// one fixture.
+static UPDATE: Mutex<()> = Mutex::new(());
+
+/// Regenerate one part of the fixture, keeping the other: the default
+/// sections, or (`options`) the option sections.
+fn update_golden(options: bool, text: &str) {
+    let _guard = UPDATE.lock().unwrap_or_else(|e| e.into_inner());
+    let golden = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_default();
+    let (default, rest) = golden.split_at(options_start(&golden));
+    let updated = if options {
+        format!("{default}{text}")
+    } else {
+        format!("{text}{rest}")
+    };
+    std::fs::write(GOLDEN_PATH, updated).unwrap();
+}
+
 fn assert_lines_match(actual: &str, golden: &str, what: &str) {
     for (i, (a, g)) in actual.lines().zip(golden.lines()).enumerate() {
         assert_eq!(a, g, "{what} diverged from the golden at line {}", i + 1);
@@ -149,10 +178,11 @@ fn corpus_trims_match_golden() {
         render(&mut actual, &app.name, &report);
     }
     if std::env::var("LT_UPDATE_GOLDEN").is_ok() {
-        std::fs::write(GOLDEN_PATH, &actual).unwrap();
+        update_golden(false, &actual);
         return;
     }
-    assert_lines_match(&actual, &golden(), "corpus trim");
+    let golden = golden();
+    assert_lines_match(&actual, &golden[..options_start(&golden)], "corpus trim");
     #[cfg(debug_assertions)]
     assert_eq!(
         lambda_trim::trim_core::oracle::oracle_runs() - runs,
@@ -185,4 +215,58 @@ fn mini_corpus_matches_golden_with_two_jobs() {
         let what = format!("{} (two jobs)", app.name);
         assert_lines_match(&actual, &section(&app.name), &what);
     }
+}
+
+/// The option paths a default pass does not take, each with the tag of
+/// its golden sections.
+fn option_paths() -> [(&'static str, DebloatOptions); 4] {
+    let default = DebloatOptions::default;
+    [
+        (
+            "greedy",
+            DebloatOptions {
+                algorithm: Algorithm::Greedy,
+                ..default()
+            },
+        ),
+        (
+            "app-only",
+            DebloatOptions {
+                analysis: AnalysisMode::AppOnly,
+                ..default()
+            },
+        ),
+        (
+            "blanket",
+            DebloatOptions {
+                hazards: HazardMode::Blanket,
+                ..default()
+            },
+        ),
+        (
+            "no-slice",
+            DebloatOptions {
+                slice_init: false,
+                ..default()
+            },
+        ),
+    ]
+}
+
+#[test]
+fn mini_corpus_option_paths_match_golden() {
+    let mut actual = String::new();
+    for (tag, options) in option_paths() {
+        for app in lambda_trim::trim_apps::mini_corpus() {
+            let report = lambda_trim::trim_app(&app.registry, &app.app_source, &app.spec, &options)
+                .expect("trim succeeds");
+            render(&mut actual, &format!("[{tag}] {}", app.name), &report);
+        }
+    }
+    if std::env::var("LT_UPDATE_GOLDEN").is_ok() {
+        update_golden(true, &actual);
+        return;
+    }
+    let golden = golden();
+    assert_lines_match(&actual, &golden[options_start(&golden)..], "option paths");
 }

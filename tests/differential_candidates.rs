@@ -1,24 +1,29 @@
-//! Differential test pinning candidate materialization (DESIGN.md §16) to
-//! the rewrite → unparse → re-parse path it replaced.
+//! Differential tests pinning linked candidates (DESIGN.md §16) to the
+//! rewrite → unparse → re-parse path they replace.
 //!
-//! DD, retrim and slice probes select pre-rendered, pre-resolved
-//! statements from a per-run `ModuleIndex` instead of rewriting, printing,
-//! re-parsing and re-resolving the module. The contract, for every DD
-//! target of the 21-app corpus and seeded random keep sets:
+//! DD, retrim and slice probes link a candidate module from the
+//! registry's own compiled code: ranges of top-level statements of the
+//! module's one code object, plus small programs for `import` lists kept in
+//! part. The contract, for every DD target of the 21-app corpus and seeded
+//! random keep sets:
 //!
-//! * `select` returns the source `unparse(rewrite_module(..))` returns;
-//! * the pre-resolved overlay has the plain overlay's fingerprint;
-//! * running the app over the two overlays gives equal `Execution`s,
-//!   timings and memory included.
+//! * the linked candidate's text is what `unparse(rewrite_module(..))`
+//!   returns (`sliced_program` for statement selections), so its overlay
+//!   has the plain overlay's fingerprint;
+//! * running the app over the linked overlay and over the plain-text one
+//!   gives equal `Execution`s, timings and memory included.
 //!
-//! `select_stmts` is held to the same contract against `sliced_program`.
+//! Two properties make it hold, and are tested on every corpus module:
+//! every top-level statement prints back to itself, and a body linked
+//! statement by statement runs like the whole compiled body.
 
-use lambda_trim::pylite::{unparse, unparse_stmt, Registry, Stmt};
+use lambda_trim::pylite::{
+    compile_program, parse, py_repr, unparse, unparse_stmt, Interpreter, LinkedBody, Registry, Stmt,
+};
 use lambda_trim::trim_analysis::slice::sliced_program;
 use lambda_trim::trim_apps::BenchApp;
-use lambda_trim::trim_core::{
-    rewrite_module, run_app_measured, Candidate, ModuleIndex, OracleSpec, TestCase,
-};
+use lambda_trim::trim_core::oracle::parse_literal;
+use lambda_trim::trim_core::{rewrite_module, run_app_measured, ModuleIndex, OracleSpec, TestCase};
 use lambda_trim::trim_profiler::{profile_app, top_k};
 use lambda_trim::DebloatOptions;
 use std::collections::{BTreeSet, HashSet};
@@ -76,28 +81,24 @@ impl<'a> Subject<'a> {
     }
 
     fn index(&self, module: &str) -> ModuleIndex {
-        let program = self.registry.parse_module(module).expect("module parses");
-        ModuleIndex::new(program, Arc::clone(self.registry.interner())).expect("module indexes")
+        ModuleIndex::new(self.registry, module).expect("module indexes")
     }
 
-    /// Assert that the selected candidate and the plain source install as
-    /// the same module and run the app identically. Returns whether the
-    /// app passed its oracle cases.
+    /// Assert that the linked overlay holds the plain source and runs the
+    /// app as the plain-text overlay does. Returns whether the app passed
+    /// its oracle cases.
     fn assert_same(
         &self,
         module: &str,
-        selected: Candidate,
+        linked: Registry,
         plain_source: String,
         what: &str,
     ) -> bool {
         let at = format!("{}/{module} {what}", self.name);
-        assert_eq!(selected.source, plain_source, "{at}");
-        let pre = self
-            .registry
-            .with_module_resolved(module, selected.source, selected.program);
+        assert_eq!(linked.source(module), Some(plain_source.as_str()), "{at}");
         let plain = self.registry.with_module(module, plain_source);
-        assert_eq!(pre.fingerprint(), plain.fingerprint(), "{at}");
-        let ours = run_app_measured(&pre, self.app_source, self.spec);
+        assert_eq!(linked.fingerprint(), plain.fingerprint(), "{at}");
+        let ours = run_app_measured(&linked, self.app_source, self.spec);
         assert_eq!(
             ours,
             run_app_measured(&plain, self.app_source, self.spec),
@@ -131,8 +132,8 @@ fn selected_candidates_match_rewritten_sources_on_corpus_targets() {
                     .filter(|l| l.starts_with("from ") || l.starts_with("import "))
                     .filter(|l| !lists.contains(*l))
                     .count();
-                let selected = index.select(&index.keep_mask(&keep));
-                passed += usize::from(subject.assert_same(&module, selected, plain, "select"));
+                let linked = index.overlay(&app.registry, &index.keep_mask(&keep));
+                passed += usize::from(subject.assert_same(&module, linked, plain, "overlay"));
             }
         }
     }
@@ -154,8 +155,8 @@ fn selected_statements_match_sliced_programs_on_corpus_targets() {
                 .filter(|_| rng.f64() < density)
                 .collect();
             let plain = unparse(&sliced_program(&program, &kept));
-            let selected = index.select_stmts(&kept);
-            subject.assert_same(&module, selected, plain, "select_stmts");
+            let linked = index.overlay_stmts(&app.registry, &kept);
+            subject.assert_same(&module, linked, plain, "overlay_stmts");
         }
     }
 }
@@ -198,28 +199,116 @@ fn edge_keep_sets_match_in_every_mode() {
         named(&["r", "f", "ghost"]),
     ] {
         let plain = unparse(&rewrite_module(&program, &keep));
-        let selected = index.select(&index.keep_mask(&keep));
-        subject.assert_same("lib", selected, plain, &format!("{keep:?}"));
+        let linked = index.overlay(&registry, &index.keep_mask(&keep));
+        subject.assert_same("lib", linked, plain, &format!("{keep:?}"));
     }
     let all: BTreeSet<String> = index.names().iter().cloned().collect();
     let plain = unparse(&rewrite_module(&program, &all));
-    let selected = index.select(&index.keep_mask(&all));
+    let linked = index.overlay(&registry, &index.keep_mask(&all));
     assert!(
-        subject.assert_same("lib", selected, plain, "full keep set"),
+        subject.assert_same("lib", linked, plain, "full keep set"),
         "the untrimmed app runs"
     );
-    let cut = index.select(&index.keep_mask(&named(&["d", "z"])));
+    let cut = index.overlay(&registry, &index.keep_mask(&named(&["d", "z"])));
     assert_eq!(
-        cut.source, "import d\nfrom m import z\n__all__ = [\"p\"]\n",
+        cut.source("lib"),
+        Some("import d\nfrom m import z\n__all__ = [\"p\"]\n"),
         "lists are cut item by item; dunder assigns always survive"
     );
 
     let bare = subject.index("bare");
-    let empty = bare.select(&bare.keep_mask(&named(&[])));
-    assert_eq!(empty.source, "pass\n");
+    let empty = bare.overlay(&registry, &bare.keep_mask(&named(&[])));
+    assert_eq!(empty.source("bare"), Some("pass\n"));
     let plain = unparse(&rewrite_module(
         &registry.parse_module("bare").unwrap(),
         &named(&[]),
     ));
     subject.assert_same("bare", empty, plain, "empty keep set");
+}
+
+/// The per-statement round trip a linked candidate's text relies on.
+#[test]
+fn every_corpus_statement_prints_back_to_itself() {
+    let mut statements = 0usize;
+    for app in lambda_trim::trim_apps::corpus() {
+        for module in app.registry.module_names() {
+            let program = app.registry.parse_module(&module).expect("corpus parses");
+            for stmt in &program.body {
+                let text = unparse_stmt(stmt);
+                let again = parse(&text).unwrap_or_else(|e| panic!("{module}: {e}\n{text}"));
+                let expected = std::slice::from_ref(stmt);
+                assert_eq!(again.body, expected, "{}/{module}:\n{text}", app.name);
+                statements += 1;
+            }
+        }
+    }
+    assert!(statements > 10_000, "{statements} statements");
+}
+
+/// Everything one run shows: handler results (or the error), stdout,
+/// extcalls, the meter, import events, observed accesses and read set.
+fn observe(registry: &Registry, app: &BenchApp) -> String {
+    let mut interp = Interpreter::new(registry.clone());
+    let results: Result<Vec<String>, String> = interp
+        .exec_main(&app.app_source)
+        .map_err(|e| e.to_string())
+        .and_then(|_| {
+            let call = |interp: &mut Interpreter, case: &TestCase| {
+                let event = parse_literal(&case.event)?;
+                let context = parse_literal(&case.context)?;
+                interp.call_handler(&app.spec.handler, event, context)
+            };
+            app.spec
+                .cases
+                .iter()
+                .map(|case| call(&mut interp, case).map(|v| py_repr(&v)))
+                .collect::<Result<_, _>>()
+                .map_err(|e| e.to_string())
+        });
+    let interner = registry.interner();
+    let mut reads: Vec<String> = interp
+        .read_set()
+        .iter()
+        .map(|&sym| interner.resolve(sym).to_string())
+        .collect();
+    reads.sort();
+    format!(
+        "{results:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{:?}\n{reads:?}",
+        interp.stdout,
+        interp.extcalls,
+        interp.meter,
+        interp.import_events,
+        interp.observed_accesses()
+    )
+}
+
+/// Each module the app loads, with its body linked one statement per
+/// link: consecutive statements alternate between the registry's code
+/// object and a second compile of the same tree, so no two links merge
+/// and every statement boundary is a link boundary.
+#[test]
+fn statement_ranges_run_like_whole_compiled_bodies_on_every_corpus_module() {
+    let mut linked_modules = 0usize;
+    for app in lambda_trim::trim_apps::corpus() {
+        let registry = &app.registry;
+        let whole = observe(registry, &app);
+        let mut interp = Interpreter::new(registry.clone());
+        interp.exec_main(&app.app_source).expect("corpus app runs");
+        for module in interp.loaded_modules() {
+            if !registry.contains(&module) {
+                continue;
+            }
+            let code = registry.compile_module(&module).unwrap();
+            let again = Arc::new(compile_program(&registry.resolve_module(&module).unwrap()));
+            let mut body = LinkedBody::default();
+            for stmt in 0..code.stmt_count() {
+                body.push_stmt(if stmt % 2 == 0 { &code } else { &again }, stmt);
+            }
+            let source = registry.source(&module).unwrap();
+            let linked = registry.with_module_linked(module.as_str(), source, body);
+            assert_eq!(observe(&linked, &app), whole, "{}/{module}", app.name);
+            linked_modules += 1;
+        }
+    }
+    assert!(linked_modules > 100, "{linked_modules} modules linked");
 }

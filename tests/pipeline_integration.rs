@@ -3,7 +3,8 @@
 //! head-to-head checks against the baseline debloaters.
 
 use lambda_trim::{trim_app, DebloatOptions};
-use trim_core::run_app;
+use trim_core::{run_app, run_app_profiled};
+use trim_profiler::{profile_app, Profile};
 
 /// Every mini-corpus app: trimming preserves behavior and never makes
 /// initialization or memory worse.
@@ -329,4 +330,37 @@ fn opaque_dynamic_access_routes_module_to_fallback() {
     );
     assert!(report.lints.iter().any(|l| l.severity == Severity::Hazard));
     assert!(report.after.behavior_eq(&report.before));
+}
+
+/// `trim_app` ranks by the baseline run's profile instead of a second
+/// interpreter: for every corpus app it is `profile_app`'s, bit for bit.
+#[test]
+fn baseline_profile_equals_profile_app_on_every_corpus_app() {
+    let bits = |p: &Profile| -> Vec<(String, usize, u64, u64)> {
+        let totals = (
+            String::new(),
+            0,
+            p.total_time_secs.to_bits(),
+            p.total_mem_mb.to_bits(),
+        );
+        p.modules
+            .iter()
+            .map(|m| {
+                (
+                    m.module.clone(),
+                    m.depth,
+                    m.time_secs.to_bits(),
+                    m.mem_mb.to_bits(),
+                )
+            })
+            .chain([totals])
+            .collect()
+    };
+    for app in lambda_trim::trim_apps::corpus() {
+        let (_, baseline) = run_app_profiled(&app.registry, &app.app_source, &app.spec)
+            .unwrap_or_else(|e| panic!("{}: {e}", app.name));
+        let profiled = profile_app(&app.app_source, &app.registry).expect("corpus app profiles");
+        assert_eq!(bits(&baseline), bits(&profiled), "{}", app.name);
+        assert!(!baseline.modules.is_empty(), "{}", app.name);
+    }
 }
