@@ -27,7 +27,9 @@
 //! LT_UPDATE_GOLDEN=1 cargo test --test corpus_golden
 //! ```
 
-use lambda_trim::trim_core::oracle::Execution;
+mod golden_text;
+
+use golden_text::{assert_lines_match, render_execution, render_module, render_slice};
 use lambda_trim::trim_core::{Algorithm, AnalysisMode, HazardMode};
 use lambda_trim::{DebloatOptions, TrimReport};
 use std::fmt::Write as _;
@@ -35,49 +37,10 @@ use std::sync::Mutex;
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/corpus_trims.txt");
 
-/// FNV-1a over the items, each terminated by a newline.
-fn digest<S: AsRef<str>>(items: &[S]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for item in items {
-        for b in item.as_ref().bytes().chain([b'\n']) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    format!("{}#{h:016x}", items.len())
-}
-
-fn render_execution(out: &mut String, tag: &str, e: &Execution) {
-    writeln!(
-        out,
-        "{tag}| stdout={} extcalls={} results={} init={:?} exec={:?} mem={:?}",
-        digest(&e.stdout),
-        digest(&e.extcalls),
-        digest(&e.results),
-        e.init_secs,
-        e.exec_secs,
-        e.mem_mb
-    )
-    .unwrap();
-}
-
 fn render(out: &mut String, name: &str, r: &TrimReport) {
     writeln!(out, "== {name}").unwrap();
     for m in &r.modules {
-        writeln!(
-            out,
-            "mod| {} attrs={}->{} kept={} removed={} dd={}/{}/{} secs={:?}",
-            m.module,
-            m.attrs_before,
-            m.attrs_after,
-            digest(&m.kept),
-            digest(&m.removed),
-            m.dd_stats.oracle_invocations,
-            m.dd_stats.cache_hits,
-            m.dd_stats.iterations,
-            m.debloat_secs
-        )
-        .unwrap();
+        render_module(out, m);
     }
     for f in &r.fallback_modules {
         writeln!(out, "fb | {f}").unwrap();
@@ -87,19 +50,7 @@ fn render(out: &mut String, name: &str, r: &TrimReport) {
         writeln!(out, "pin| {module}: {}", attrs.join(" ")).unwrap();
     }
     for s in &r.slices {
-        writeln!(
-            out,
-            "slc| {} stmts={}->{} pinned={} refined={} fell_back={} probes={} secs={:?}",
-            s.module,
-            s.stmts_before,
-            s.stmts_after,
-            s.pinned,
-            s.refined,
-            s.fell_back,
-            s.oracle_invocations,
-            s.slice_secs
-        )
-        .unwrap();
+        render_slice(out, s);
     }
     for l in &r.lints {
         writeln!(out, "lnt| {l}").unwrap();
@@ -149,17 +100,6 @@ fn update_golden(options: bool, text: &str) {
         format!("{text}{rest}")
     };
     std::fs::write(GOLDEN_PATH, updated).unwrap();
-}
-
-fn assert_lines_match(actual: &str, golden: &str, what: &str) {
-    for (i, (a, g)) in actual.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(a, g, "{what} diverged from the golden at line {}", i + 1);
-    }
-    assert_eq!(
-        actual.lines().count(),
-        golden.lines().count(),
-        "{what}: capture length changed"
-    );
 }
 
 #[test]
