@@ -172,16 +172,19 @@ pub fn debloat_module(
     must_keep: &BTreeSet<String>,
     options: &DebloatOptions,
 ) -> Result<ModuleReport, TrimError> {
-    let (report, _) = debloat_step(
-        work, app_source, spec, expected, module, must_keep, options, None,
+    let (report, _, _) = debloat_step(
+        work, app_source, spec, expected, module, must_keep, options, None, None,
     )?;
     Ok(report)
 }
 
-/// [`debloat_module`] with a run record (DESIGN.md §18): `record`, the
-/// last passing run over `work`, answers the module's probes when it never
-/// read the module. Returns the report and the record of the last passing
-/// run over `work` as it stands afterwards, when one is known.
+/// [`debloat_module`] with a run record (DESIGN.md §18) and an optional
+/// seed (§9): `record`, the last passing run over `work`, answers the
+/// module's probes when it never read the module. A `seed`, a previous
+/// run's kept set, is probed first; when it passes, DD searches inside
+/// it, else every attribute. Returns the report, whether the seed passed,
+/// and the record of the last passing run over `work` as it stands
+/// afterwards, when one is known.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn debloat_step(
     work: &mut Registry,
@@ -192,7 +195,8 @@ pub(crate) fn debloat_step(
     must_keep: &BTreeSet<String>,
     options: &DebloatOptions,
     record: Option<RunRecord>,
-) -> Result<(ModuleReport, Option<RunRecord>), TrimError> {
+    seed: Option<&BTreeSet<String>>,
+) -> Result<(ModuleReport, bool, Option<RunRecord>), TrimError> {
     let prober = Prober::new(
         work,
         module,
@@ -206,20 +210,44 @@ pub(crate) fn debloat_step(
     let ids = prober.ids();
     let attrs = ids.attributes().to_vec();
     let attrs_before = attrs.len();
-    // Step 3 of §6.3: candidates = all attributes except the definitely
-    // accessed ones (magic attributes are already excluded by extraction).
-    // DD searches attribute ids; names come back only for the report.
-    let (fixed, candidates): (Vec<u32>, Vec<u32>) =
-        (0..attrs_before as u32).partition(|&id| must_keep.contains(&attrs[id as usize]));
+    // Probe time, summed as truncated nanoseconds, which reports (and
+    // perfbench's traced recomposition of this loop) depend on.
+    let mut spent_nanos = 0u64;
+    // The seed probe keeps the seed's attributes and the must-keeps.
+    // Must-keep names the module does not bind still enter the probe's
+    // cache key, exactly as the named keep set would.
+    let seed_mask = seed.and_then(|seed| {
+        let attribute =
+            |name: &&String| ids.id(name).is_some_and(|id| (id as usize) < attrs_before);
+        let seed: BTreeSet<&String> = seed.iter().filter(attribute).chain(must_keep).collect();
+        let mask = ids.keep_mask(seed.iter().copied());
+        let unbound: Vec<String> = seed
+            .into_iter()
+            .filter(|name| ids.id(name).is_none())
+            .cloned()
+            .collect();
+        let (passed, secs) = prober.probe(Selection::Attrs {
+            keep: &mask,
+            extra: &unbound,
+        });
+        spent_nanos += (secs * 1e9) as u64;
+        passed.then_some(mask)
+    });
+    let seeded = seed_mask.is_some();
+    // Step 3 of §6.3: candidates = all attributes (inside a passing seed)
+    // except the definitely accessed ones (magic attributes are already
+    // excluded by extraction). DD searches attribute ids; names come back
+    // only for the report.
+    let (fixed, candidates): (Vec<u32>, Vec<u32>) = (0..attrs_before as u32)
+        .filter(|&id| seed_mask.as_ref().is_none_or(|mask| mask[id as usize]))
+        .partition(|&id| must_keep.contains(&attrs[id as usize]));
     let keep_mask = |subset: &[u32]| ids.mask(fixed.iter().chain(subset).copied());
 
     // One probe = one copy-on-write overlay over the working registry: the
     // base's sources and parse results are shared (O(modules) pointer
     // bumps), only the candidate module gets a fresh, pre-resolved entry.
     // Verdicts are memoized in the cross-run probe cache when one is
-    // attached. Probe time sums as truncated nanoseconds, which reports
-    // (and perfbench's traced recomposition of this loop) depend on.
-    let mut spent_nanos = 0u64;
+    // attached.
     let mut oracle = |subset: &[u32]| -> bool {
         let keep = keep_mask(subset);
         let (verdict, secs) = prober.probe(Selection::Attrs {
@@ -248,7 +276,7 @@ pub(crate) fn debloat_step(
                 dd_stats: DdStats::default(),
                 debloat_secs,
             };
-            return Ok((report, record));
+            return Ok((report, seeded, record));
         }
     };
     let (kept, removed) = split_kept(&attrs, &keep_mask(&result.minimized));
@@ -284,7 +312,7 @@ pub(crate) fn debloat_step(
             dd_stats: result.stats,
             debloat_secs: debloat_secs + verify_secs,
         };
-        return Ok((report, record));
+        return Ok((report, seeded, record));
     }
     let report = ModuleReport {
         module: module.to_owned(),
@@ -295,12 +323,12 @@ pub(crate) fn debloat_step(
         dd_stats: result.stats,
         debloat_secs: debloat_secs + verify_secs,
     };
-    Ok((report, after))
+    Ok((report, seeded, after))
 }
 
 /// Split `attrs` into the kept and the removed names under `keep`, both in
 /// original order.
-pub(crate) fn split_kept(attrs: &[String], keep: &[bool]) -> (Vec<String>, Vec<String>) {
+fn split_kept(attrs: &[String], keep: &[bool]) -> (Vec<String>, Vec<String>) {
     let names = |kept: bool| {
         let chosen = attrs.iter().zip(keep).filter(|(_, k)| **k == kept);
         chosen.map(|(name, _)| name.clone()).collect()
@@ -309,9 +337,9 @@ pub(crate) fn split_kept(attrs: &[String], keep: &[bool]) -> (Vec<String>, Vec<S
 }
 
 /// Commit the module keeping exactly the attributes `kept`: the rewriter's
-/// output, so trimmed sources and registry fingerprints are the same
-/// whichever path produced the keep set.
-pub(crate) fn commit(work: &mut Registry, module: &str, kept: &[String]) {
+/// output, so trimmed sources and registry fingerprints do not depend on
+/// how the probes built their candidates.
+fn commit(work: &mut Registry, module: &str, kept: &[String]) {
     let program = work.parse_module(module).expect("probed module parses");
     let keep: BTreeSet<String> = kept.iter().cloned().collect();
     work.set_module(module, pylite::unparse(&rewrite_module(&program, &keep)));

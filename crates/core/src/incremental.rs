@@ -13,16 +13,22 @@
 //! usually tiny — set instead of the full attribute list. If the seed fails
 //! (the update needs something that was previously trimmed, or the oracle
 //! grew), fall back to the full search.
+//!
+//! A retrim is the cold trim with a head start: [`retrim_with_log`] and
+//! [`crate::trim_app`] are two plans over one loop (`pipeline::trim_with`).
+//! Both run the baseline into a run record (DESIGN.md §18), the analysis,
+//! the per-module DD step with its post-commit verify, and the slicer.
+//! The logged plan differs only in its targets: the log's modules in the
+//! log's order, each seeded by its kept set, with no profile, no hazard
+//! routing and no pins (ROADMAP direction 2).
 
-use crate::candidate::{Prober, Selection};
-use crate::debloater::{commit, split_kept, DebloatOptions, ModuleReport};
-use crate::oracle::{run_app, Execution, OracleSpec};
-use crate::pipeline::TrimReport;
-use crate::slicer::{slice_modules, SliceReport};
+use crate::debloater::{DebloatOptions, ModuleReport};
+use crate::oracle::{Execution, OracleSpec};
+use crate::pipeline::{trim_with, Plan, TrimReport};
+use crate::slicer::SliceReport;
 use crate::TrimError;
 use pylite::Registry;
 use std::collections::{BTreeMap, BTreeSet};
-use trim_dd::{ddmin_with, DdStats};
 
 /// The debloating log of a previous run: per-module kept attribute sets.
 /// This is the §9 "log collected during the initial debloating".
@@ -35,9 +41,13 @@ pub struct TrimLog {
 impl TrimLog {
     /// Extract the log from a completed [`TrimReport`].
     pub fn from_report(report: &TrimReport) -> TrimLog {
+        TrimLog::of(&report.modules)
+    }
+
+    /// The log of a run's per-module reports.
+    fn of(modules: &[ModuleReport]) -> TrimLog {
         TrimLog {
-            kept: report
-                .modules
+            kept: modules
                 .iter()
                 .map(|m| (m.module.clone(), m.kept.iter().cloned().collect()))
                 .collect(),
@@ -79,13 +89,7 @@ pub struct IncrementalReport {
 impl IncrementalReport {
     /// The updated log, to persist for the next round.
     pub fn log(&self) -> TrimLog {
-        TrimLog {
-            kept: self
-                .modules
-                .iter()
-                .map(|m| (m.module.clone(), m.kept.iter().cloned().collect()))
-                .collect(),
-        }
+        TrimLog::of(&self.modules)
     }
 }
 
@@ -107,165 +111,26 @@ pub fn retrim_with_log(
     log: &TrimLog,
     options: &DebloatOptions,
 ) -> Result<IncrementalReport, TrimError> {
-    if options.jobs == 0 {
-        return Err(TrimError::Config(
-            "analysis jobs must be at least 1".to_owned(),
-        ));
-    }
-    let before = run_app(registry, app_source, spec).map_err(TrimError::Baseline)?;
-    let app_program = pylite::parse(app_source).map_err(TrimError::Parse)?;
-    // Retrims are where the summary cache earns its keep: sharing one cache
-    // across runs means only the edited modules (and readers of keys they
-    // lost) are re-analyzed, and the per-module recomputations below start
-    // as hits.
-    let summaries = options
-        .summary_cache
-        .clone()
-        .unwrap_or_else(trim_analysis::summary::SummaryCache::shared);
-    let analysis_options = trim_analysis::AnalysisOptions {
-        mode: trim_analysis::AnalysisMode::Interprocedural,
-        entry: None,
-        jobs: options.jobs,
-        summary_cache: Some(summaries),
-    };
-    let analyzer = trim_analysis::Analyzer::new(&app_program, &analysis_options);
-    let full = analyzer.full(registry);
-    let analysis = &full.analysis;
-
-    let mut work = registry.clone();
-    let mut modules = Vec::new();
-    let mut seeded_modules = 0;
-    let mut cold_modules = 0;
-    let mut oracle_invocations = 0;
-    for (module, prev_kept) in &log.kept {
-        if !work.contains(module) {
-            continue;
-        }
-        let prober = Prober::new(&work, module, app_source, spec, &before, options, None)
-            .map_err(TrimError::Parse)?;
-        let attrs = prober.ids().attributes().to_vec();
-        // Same recompute-on-work rule as the cold pipeline: committed trims
-        // release the must-keeps their import lines induced.
-        let must_keep = match options.analysis {
-            trim_analysis::AnalysisMode::AppOnly => analysis.accessed_attrs(module),
-            trim_analysis::AnalysisMode::Interprocedural => analyzer.accessed_attrs(&work, module),
-        };
-
-        // Probe the seed: previous kept set ∩ current attrs ∪ must-keep.
-        // Must-keep names the module does not bind still enter the probe's
-        // cache key, exactly as the named keep set would.
-        let index = prober.ids();
-        let seed: BTreeSet<String> = prev_kept
-            .iter()
-            .filter(|a| index.id(a).is_some_and(|id| (id as usize) < attrs.len()))
-            .cloned()
-            .chain(must_keep.iter().cloned())
-            .collect();
-        let seed_mask = index.keep_mask(&seed);
-        let unbound: Vec<String> = seed
-            .iter()
-            .filter(|name| index.id(name).is_none())
-            .cloned()
-            .collect();
-        // A retrim probe is keyed exactly like a cold-pipeline probe: same
-        // base-registry fingerprint, app fingerprint, module and keep-set.
-        // An untouched module therefore answers its probes straight from a
-        // shared [`crate::ProbeCache`] populated by the previous run.
-        let (seed_ok, _) = prober.probe(Selection::Attrs {
-            keep: &seed_mask,
-            extra: &unbound,
-        });
-        oracle_invocations += 1;
-
-        // Fixed: the must-keep attributes, all inside the seed. DD searches
-        // the rest of the seed when it passed, else every other attribute.
-        if seed_ok {
-            seeded_modules += 1;
-        } else {
-            cold_modules += 1;
-        }
-        let (fixed, candidates): (Vec<u32>, Vec<u32>) = (0..attrs.len() as u32)
-            .filter(|&id| !seed_ok || seed_mask[id as usize])
-            .partition(|&id| must_keep.contains(&attrs[id as usize]));
-        let keep_mask = |subset: &[u32]| index.mask(fixed.iter().chain(subset).copied());
-
-        let mut spent = 0.0f64;
-        let mut oracle = |subset: &[u32]| {
-            let keep = keep_mask(subset);
-            let (ok, secs) = prober.probe(Selection::Attrs {
-                keep: &keep,
-                extra: &[],
-            });
-            spent += secs;
-            ok
-        };
-        let dd_result = ddmin_with(&candidates, &mut oracle, options.dd);
-        match dd_result {
-            Ok(result) => {
-                let (kept, removed) = split_kept(&attrs, &keep_mask(&result.minimized));
-                commit(&mut work, module, &kept);
-                oracle_invocations += result.stats.oracle_invocations;
-                modules.push(ModuleReport {
-                    module: module.clone(),
-                    attrs_before: attrs.len(),
-                    attrs_after: kept.len(),
-                    removed,
-                    kept,
-                    dd_stats: result.stats,
-                    debloat_secs: spent,
-                });
-            }
-            Err(trim_dd::DdError::OracleRejectsWhole) => {
-                // Even the full attribute set fails under this candidate
-                // path — leave the module untouched.
-                modules.push(ModuleReport {
-                    module: module.clone(),
-                    attrs_before: attrs.len(),
-                    attrs_after: attrs.len(),
-                    removed: Vec::new(),
-                    kept: attrs,
-                    dd_stats: DdStats::default(),
-                    debloat_secs: spent,
-                });
-            }
-        }
-    }
-    // Mirror the cold pipeline's selective-init slicing pass so an
-    // incremental retrim converges to the same deployment as a from-scratch
-    // trim of the same inputs.
-    let slices = if options.slice_init {
-        let candidates: Vec<String> = modules.iter().map(|m| m.module.clone()).collect();
-        let hazard_set: BTreeSet<String> = full.hazard_attrs.keys().cloned().collect();
-        let slices = slice_modules(
-            &mut work,
-            app_source,
-            spec,
-            &before,
-            &candidates,
-            &hazard_set,
-            options,
-        )?;
-        oracle_invocations += slices.iter().map(|s| s.oracle_invocations).sum::<u64>();
-        slices
-    } else {
-        Vec::new()
-    };
-    let after = run_app(&work, app_source, spec).map_err(TrimError::Baseline)?;
+    let (report, seeded_modules) =
+        trim_with(registry, app_source, spec, options, Plan::Logged(log))?;
+    // Every logged module's step made one seed probe before its DD run.
+    let seed_probes = report.modules.len();
     Ok(IncrementalReport {
-        modules,
-        before,
-        after,
-        trimmed: work,
         seeded_modules,
-        cold_modules,
-        oracle_invocations,
-        slices,
+        cold_modules: seed_probes - seeded_modules,
+        oracle_invocations: report.oracle_invocations + seed_probes as u64,
+        modules: report.modules,
+        before: report.before,
+        after: report.after,
+        trimmed: report.trimmed,
+        slices: report.slices,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::debloater::Algorithm;
     use crate::oracle::TestCase;
     use crate::pipeline::trim_app;
 
@@ -348,25 +213,86 @@ mod tests {
 
     #[test]
     fn fallback_notifications_extend_the_log() {
-        let cold = trim_app(&registry(), APP_V1, &spec(), &DebloatOptions::default()).unwrap();
-        let mut log = TrimLog::from_report(&cold);
+        // The handler reaches `delta` only through `getattr` on a rare
+        // input, as corpus apps reach their rare attribute.
+        let app = "import toolkit\ndef handler(event, context):\n    if event[\"op\"] == \"diag\":\n        return getattr(toolkit, \"delta\")(event[\"n\"])\n    return toolkit.alpha(event[\"n\"])\n";
+        let common = OracleSpec::new(vec![TestCase::event("{\"op\": \"run\", \"n\": 5}")]);
+        let options = DebloatOptions::default();
+        let cold = trim_app(&registry(), app, &common, &options).unwrap();
+        let keeps_delta = |log: &TrimLog| log.kept["toolkit"].contains("delta");
+        assert!(!keeps_delta(&TrimLog::from_report(&cold)));
         // A production fallback reported that `delta` was needed.
+        let mut log = TrimLog::from_report(&cold);
         log.require("toolkit", "delta");
-        let warm = retrim_with_log(
-            &registry(),
-            APP_V1,
-            &spec(),
-            &log,
-            &DebloatOptions::default(),
-        )
-        .unwrap();
-        // The seed includes delta, but DD inside the seed can still remove
-        // it because the oracle set does not exercise it — §5.4's workflow
-        // requires adding the failing *input*, not just the attribute.
-        // With the input added, delta survives:
-        let mut spec2 = spec();
-        spec2.cases.push(TestCase::event("{\"n\": 1}"));
-        assert!(warm.after.behavior_eq(&warm.before));
+        // The seed holds delta and passes, but DD inside the seed removes
+        // it again: no oracle case reaches it.
+        let attr_only = retrim_with_log(&registry(), app, &common, &log, &options).unwrap();
+        assert_eq!(attr_only.seeded_modules, 1);
+        assert!(!keeps_delta(&attr_only.log()));
+        // §5.4's workflow adds the failing input to the oracle: then delta
+        // survives.
+        let mut rare = common.clone();
+        rare.cases
+            .push(TestCase::event("{\"op\": \"diag\", \"n\": 1}"));
+        let with_input = retrim_with_log(&registry(), app, &rare, &log, &options).unwrap();
+        assert_eq!(with_input.seeded_modules, 1);
+        assert!(keeps_delta(&with_input.log()));
+        assert!(with_input.after.behavior_eq(&with_input.before));
+        assert_eq!(with_input.after.results, ["6", "5"]);
+    }
+
+    #[test]
+    fn a_retrim_runs_the_configured_algorithm() {
+        let greedy = DebloatOptions {
+            algorithm: Algorithm::Greedy,
+            ..DebloatOptions::default()
+        };
+        let cold = trim_app(&registry(), APP_V1, &spec(), &greedy).unwrap();
+        // A log that keeps every attribute: the seed passes, and DD
+        // searches every candidate, as the cold trim did.
+        let toolkit = &cold.modules[0];
+        let mut log = TrimLog::default();
+        for attr in toolkit.kept.iter().chain(&toolkit.removed) {
+            log.require("toolkit", attr);
+        }
+        let stats = |options: &DebloatOptions| {
+            let warm = retrim_with_log(&registry(), APP_V1, &spec(), &log, options).unwrap();
+            assert_eq!(warm.seeded_modules, 1);
+            warm.modules[0].dd_stats
+        };
+        assert_eq!(stats(&greedy), toolkit.dd_stats);
+        assert_ne!(stats(&DebloatOptions::default()), toolkit.dd_stats);
+    }
+
+    /// The baseline's run record answers every run over a logged module
+    /// the updated app no longer imports: its seed probe, DD probes,
+    /// verify and slice probes.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_logged_module_the_update_stopped_importing_starts_no_run() {
+        let mut r = registry();
+        r.set_module(
+            "legacy",
+            "__lt_work__(20)\ndef old(x):\n    return x - 1\ndef older(x):\n    return x - 2\n",
+        );
+        let app_v0 = "import toolkit\nimport legacy\ndef handler(event, context):\n    return toolkit.alpha(legacy.old(event[\"n\"]))\n";
+        let cold = trim_app(&r, app_v0, &spec(), &DebloatOptions::default()).unwrap();
+        let with_legacy = TrimLog::from_report(&cold);
+        let mut without = with_legacy.clone();
+        assert!(without.kept.remove("legacy").is_some());
+        let retrim = |log: &TrimLog| {
+            let start = crate::oracle::oracle_runs();
+            let report = retrim_with_log(&r, APP_V1, &spec(), log, &DebloatOptions::default());
+            (report.unwrap(), crate::oracle::oracle_runs() - start)
+        };
+        let (with_report, with_runs) = retrim(&with_legacy);
+        let (without_report, without_runs) = retrim(&without);
+        assert!(with_report.modules.iter().any(|m| m.module == "legacy"));
+        assert_eq!(with_runs, without_runs);
+        assert_eq!(
+            with_report.trimmed.source("toolkit"),
+            without_report.trimmed.source("toolkit")
+        );
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //! cost profiler → DD debloater, producing a deployable trimmed registry.
 
 use crate::debloater::{debloat_step, DebloatOptions, HazardMode, ModuleReport};
-use crate::oracle::{run_app, run_baseline, Execution, OracleSpec, RunRecord};
+use crate::incremental::TrimLog;
+use crate::oracle::{
+    run_app, run_baseline, run_oracle, Execution, OracleRun, OracleSpec, RunRecord,
+};
 use crate::slicer::{slice_step, SliceReport};
 use crate::TrimError;
 use pylite::Registry;
 use std::collections::{BTreeMap, BTreeSet};
 use trim_analysis::lints::Lint;
 use trim_analysis::{AnalysisMode, AnalysisOptions};
-use trim_profiler::top_k;
+use trim_profiler::{top_k, Profile};
 
 /// The complete result of trimming one application.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,6 +98,82 @@ pub fn trim_app(
     spec: &OracleSpec,
     options: &DebloatOptions,
 ) -> Result<TrimReport, TrimError> {
+    trim_with(registry, app_source, spec, options, Plan::Cold).map(|(report, _)| report)
+}
+
+/// What a cold trim and a retrim do differently: the two plans over
+/// [`trim_with`]'s one loop, and everything that differs between them.
+///
+/// - A cold plan ranks the baseline profile's top-K ([`trim_app`]). It
+///   routes modules a ⊤ hazard implicates to the fallback deployment and
+///   pins bounded hazard attributes into must-keep.
+/// - A logged plan ([`crate::incremental::retrim_with_log`]) walks the
+///   log's modules in its `BTreeMap` order and seeds each one's DD with
+///   its logged kept set. It routes no hazard and pins nothing.
+///
+/// Closing that gap, so that a retrim converges to the cold trim, is the
+/// other half of ROADMAP direction 2. It moves retrim outcomes, so it
+/// lands with a benchmark change that re-captures them.
+pub(crate) enum Plan<'l> {
+    Cold,
+    Logged(&'l TrimLog),
+}
+
+impl<'l> Plan<'l> {
+    /// The plan's baseline run: a cold plan also profiles it to rank by.
+    fn baseline(
+        &self,
+        registry: &Registry,
+        app_source: &str,
+        spec: &OracleSpec,
+    ) -> (OracleRun, Option<Profile>) {
+        match self {
+            Plan::Cold => run_baseline(registry, app_source, spec),
+            Plan::Logged(_) => (run_oracle(registry, app_source, spec), None),
+        }
+    }
+
+    /// The modules to debloat, in order, each with its seed.
+    fn targets(
+        &self,
+        registry: &Registry,
+        profile: Option<Profile>,
+        options: &DebloatOptions,
+    ) -> Vec<(String, Option<&'l BTreeSet<String>>)> {
+        match self {
+            Plan::Cold => {
+                let profile = profile.expect("a passing baseline initialized");
+                let ranked = top_k(&profile, options.scoring, options.k).into_iter();
+                ranked
+                    .filter(|m| registry.contains(m))
+                    .map(|m| (m, None))
+                    .collect()
+            }
+            Plan::Logged(log) => log
+                .kept
+                .iter()
+                .filter(|(m, _)| registry.contains(m))
+                .map(|(m, kept)| (m.clone(), Some(kept)))
+                .collect(),
+        }
+    }
+
+    /// Whether hazard lints route and pin the plan's modules.
+    fn routes_hazards(&self) -> bool {
+        matches!(self, Plan::Cold)
+    }
+}
+
+/// The one trim loop under [`trim_app`] and
+/// [`crate::incremental::retrim_with_log`]: the report, and how many
+/// modules' seeds passed.
+pub(crate) fn trim_with(
+    registry: &Registry,
+    app_source: &str,
+    spec: &OracleSpec,
+    options: &DebloatOptions,
+    plan: Plan<'_>,
+) -> Result<(TrimReport, usize), TrimError> {
     if options.jobs == 0 {
         return Err(TrimError::Config(
             "analysis jobs must be at least 1".to_owned(),
@@ -102,11 +181,9 @@ pub fn trim_app(
     }
     // 1. Baseline run. It seeds the run record (DESIGN.md §18): the last
     //    passing run over the working registry, which answers every probe
-    //    and verify of a module it never read. Its initialization is also
-    //    the profile step 3 ranks by.
-    let (baseline, profile) = run_baseline(registry, app_source, spec);
+    //    and verify of a module it never read.
+    let (baseline, profile) = plan.baseline(registry, app_source, spec);
     let before = baseline.result.map_err(TrimError::Baseline)?;
-    let profile = profile.expect("a passing baseline initialized");
     let mut record = Some(RunRecord::new(
         registry.clone(),
         baseline.secs,
@@ -118,7 +195,9 @@ pub fn trim_app(
     // caller's, or a run-local one): the first per-module must-keep
     // recomputation below sees the identical registry and is answered from
     // cache instead of re-running the fixpoint, and later recomputations
-    // against the partially-trimmed registry are incremental.
+    // against the partially-trimmed registry are incremental. Sharing one
+    // cache across retrims means only the edited modules (and readers of
+    // keys they lost) are re-analyzed.
     let program = pylite::parse(app_source).map_err(TrimError::Parse)?;
     let summaries = options
         .summary_cache
@@ -133,14 +212,11 @@ pub fn trim_app(
     let analyzer = trim_analysis::Analyzer::new(&program, &analysis_options);
     let full = analyzer.full(registry);
 
-    // 3. Top-K ranking by the baseline's profile: the same fresh-run
-    //    measurement `profile_app` makes.
-    let targets: Vec<String> = top_k(&profile, options.scoring, options.k)
-        .into_iter()
-        .filter(|m| registry.contains(m))
-        .collect();
+    // 3. The targets: the top-K of the baseline's profile (the same
+    //    fresh-run measurement `profile_app` makes), or the log's modules.
+    let targets = plan.targets(registry, profile, options);
 
-    // 4. Debloat each target in rank order, committing as we go. Modules a
+    // 4. Debloat each target in order, committing as we go. Modules a
     //    hazard lint implicates with a *bounded* attribute set still enter
     //    DD with those attributes pinned into the must-keep seed; only an
     //    unbounded (⊤) hazard — or any hazard under the blanket baseline —
@@ -148,10 +224,12 @@ pub fn trim_app(
     //    conservative fallback deployment (§5.4).
     let mut work = registry.clone();
     let mut modules = Vec::with_capacity(targets.len());
+    let mut seeded = 0;
     let mut fallback_modules = Vec::new();
     let mut pinned_hazard_attrs: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for module in &targets {
-        let pinned: Option<BTreeSet<String>> = match full.hazard_attrs.get(module) {
+    for (module, seed) in &targets {
+        let hazard = full.hazard_attrs.get(module);
+        let pinned: Option<BTreeSet<String>> = match hazard.filter(|_| plan.routes_hazards()) {
             None => None,
             Some(bound) => match (options.hazards, bound.attrs()) {
                 (HazardMode::PerAttribute, Some(attrs)) => Some(attrs.clone()),
@@ -177,10 +255,11 @@ pub fn trim_app(
             must_keep.extend(attrs.iter().cloned());
             pinned_hazard_attrs.insert(module.clone(), attrs);
         }
-        let (report, after) = debloat_step(
-            &mut work, app_source, spec, &before, module, &must_keep, options, record,
+        let (report, seed_passed, after) = debloat_step(
+            &mut work, app_source, spec, &before, module, &must_keep, options, record, *seed,
         )?;
         record = after;
+        seeded += usize::from(seed_passed);
         modules.push(report);
     }
 
@@ -218,7 +297,7 @@ pub fn trim_app(
         .map(|m| m.dd_stats.oracle_invocations)
         .sum::<u64>()
         + slices.iter().map(|s| s.oracle_invocations).sum::<u64>();
-    Ok(TrimReport {
+    let report = TrimReport {
         modules,
         before,
         after,
@@ -229,7 +308,8 @@ pub fn trim_app(
         fallback_modules,
         pinned_hazard_attrs,
         slices,
-    })
+    };
+    Ok((report, seeded))
 }
 
 /// One independently trimmable application of a corpus.
@@ -639,7 +719,7 @@ mod record_tests {
         let none = BTreeSet::new();
         let mut work = registry(h_body);
         let (before, record) = baseline(&work, APP);
-        let (a, record) = debloat_step(
+        let (a, _, record) = debloat_step(
             &mut work,
             APP,
             &spec(),
@@ -648,13 +728,25 @@ mod record_tests {
             &none,
             options,
             Some(record),
+            None,
         )
         .unwrap();
         assert!(a.removed.contains(&"b".to_owned()), "a stops importing b");
         let at_dd = work.clone();
-        let ((dd, record), dd_runs) = counted(|| {
+        let ((dd, _, record), dd_runs) = counted(|| {
             let b = "b";
-            debloat_step(&mut work, APP, &spec(), &before, b, &none, options, record).unwrap()
+            debloat_step(
+                &mut work,
+                APP,
+                &spec(),
+                &before,
+                b,
+                &none,
+                options,
+                record,
+                None,
+            )
+            .unwrap()
         });
         let at_slice = work.clone();
         let b = ["b".to_owned()];
@@ -733,10 +825,21 @@ mod record_tests {
             let (before, record) = baseline(&registry, app);
             assert!(!record.answers_probes(&registry, "c"));
             let mut work = registry.clone();
-            let ((report, _), runs) = counted(|| {
+            let ((report, _, _), runs) = counted(|| {
                 let c = "c";
                 let record = Some(record);
-                debloat_step(&mut work, app, &spec(), &before, c, &none, &options, record).unwrap()
+                debloat_step(
+                    &mut work,
+                    app,
+                    &spec(),
+                    &before,
+                    c,
+                    &none,
+                    &options,
+                    record,
+                    None,
+                )
+                .unwrap()
             });
             assert!(
                 runs >= report.dd_stats.oracle_invocations,
@@ -753,9 +856,20 @@ mod record_tests {
         let mut plain = registry("return x * 2");
         let (before, record) = baseline(&plain, APP);
         let step = |work: &mut Registry, record, options: &DebloatOptions| {
-            debloat_step(work, APP, &spec(), &before, "a", &none, options, record).unwrap()
+            debloat_step(
+                work,
+                APP,
+                &spec(),
+                &before,
+                "a",
+                &none,
+                options,
+                record,
+                None,
+            )
+            .unwrap()
         };
-        let (plain_report, _) = step(&mut plain, Some(record), &plain_options);
+        let (plain_report, _, _) = step(&mut plain, Some(record), &plain_options);
         // A cache that knows only that the committed keep set passes: DD
         // takes it from the cache, so the last passing live probe ran
         // another candidate, and the verify must run.
@@ -770,7 +884,7 @@ mod record_tests {
             ..DebloatOptions::default()
         };
         let (_, record) = baseline(&work, APP);
-        let ((report, after), runs) = counted(|| step(&mut work, Some(record), &options));
+        let ((report, _, after), runs) = counted(|| step(&mut work, Some(record), &options));
         assert_eq!(
             cache.hits(),
             1,

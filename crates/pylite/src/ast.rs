@@ -658,9 +658,15 @@ pub fn expr_src(e: &Expr) -> String {
         Expr::True => "True".into(),
         Expr::False => "False".into(),
         Expr::Int(v) => v.to_string(),
+        // An infinite literal (`1e400`) prints as a literal that reads
+        // back as the infinity; `inf` would read back as a name.
+        Expr::Float(v) if v.is_infinite() => {
+            let sign = if *v < 0.0 { "-" } else { "" };
+            format!("{sign}1e999")
+        }
         Expr::Float(v) => {
             let s = v.to_string();
-            if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
+            if s.contains('.') || s.contains('e') || s.contains("NaN") {
                 s
             } else {
                 format!("{s}.0")

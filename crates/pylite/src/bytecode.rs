@@ -1952,7 +1952,8 @@ mod tests {
         let out = agree(
             "print(2 ** 1000.0, 1e16, 1e15, 1e-07, 1.5e-5, 0.0001)\n\
              print(float(\"nan\"), float(\"inf\"), -float(\"inf\"), -0.0, [1e22, 0.1])\n\
-             print(str(1e-5), repr(2.5e-300))\n",
+             print(str(1e-5), repr(2.5e-300))\n\
+             print(1e400, -1e400, repr(1e999), 1e400 == 1e999)\n",
         );
         assert_eq!(
             out.stdout,
@@ -1960,8 +1961,18 @@ mod tests {
                 "1.0715086071862673e+301 1e+16 1000000000000000.0 1e-07 1.5e-05 0.0001",
                 "nan inf -inf -0.0 [1e+22, 0.1]",
                 "1e-05 2.5e-300",
+                "inf -inf inf True",
             ]
         );
+    }
+
+    #[test]
+    fn non_ascii_strings_match() {
+        let out = agree(
+            "s = \"café\"\n\
+             print(len(s), repr(s), s, len(\"日本🦀\"), s[3], s.upper())\n",
+        );
+        assert_eq!(out.stdout, ["4 \"café\" café 3 é CAFÉ"]);
     }
 
     #[test]

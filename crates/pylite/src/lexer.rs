@@ -432,19 +432,39 @@ impl<'a> Lexer<'a> {
                     b'\n' => {}
                     other => {
                         out.push('\\');
-                        out.push(other as char);
+                        out.push(self.char_from(other)?);
                     }
                 }
                 continue;
             }
-            // Pass through UTF-8 bytes untouched.
-            out.push(c as char);
+            out.push(self.char_from(c)?);
         }
         self.tokens.push(Token {
             kind: Tok::Str(out),
             line,
         });
         Ok(())
+    }
+
+    /// The character that starts with `c`, the byte just bumped. A
+    /// non-ASCII byte leads a UTF-8 sequence: its continuation bytes are
+    /// bumped too, and only that sequence is decoded.
+    fn char_from(&mut self, c: u8) -> Result<char, LexError> {
+        if c.is_ascii() {
+            return Ok(c as char);
+        }
+        let start = self.pos - 1;
+        let len = match c {
+            0xF0.. => 4,
+            0xE0.. => 3,
+            _ => 2,
+        };
+        let end = (start + len).min(self.src.len());
+        self.pos = end;
+        std::str::from_utf8(&self.src[start..end])
+            .ok()
+            .and_then(|s| s.chars().next())
+            .ok_or_else(|| self.err("invalid UTF-8 in string"))
     }
 
     fn name(&mut self) {
@@ -638,11 +658,29 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_string_characters_lex_whole() {
+        // (source, the string token): each UTF-8 sequence is one char.
+        for (src, text) in [
+            ("\"café\"", "café"),
+            ("'日本語'", "日本語"),
+            ("\"🦀 ok\"", "🦀 ok"),
+            ("\"\\é\"", "\\é"),
+            ("\"\"\"naïve\nline\"\"\"", "naïve\nline"),
+        ] {
+            assert_eq!(kinds(src)[0], Tok::Str(text.into()), "{src}");
+        }
+    }
+
+    #[test]
     fn float_and_int_literals() {
-        let toks = kinds("a = 1.5\nb = 10\nc = 2e3\n");
+        let toks = kinds("a = 1.5\nb = 10\nc = 2e3\nd = 1e999\n");
         assert!(toks.contains(&Tok::Float(1.5)));
         assert!(toks.contains(&Tok::Int(10)));
         assert!(toks.contains(&Tok::Float(2000.0)));
+        assert!(
+            toks.contains(&Tok::Float(f64::INFINITY)),
+            "an overflowing literal"
+        );
     }
 
     #[test]

@@ -1167,6 +1167,24 @@ mod tests {
     }
 
     #[test]
+    fn infinite_floats_and_non_ascii_strings_print_back() {
+        // (statement, how it prints): each prints as text that parses
+        // back to the same statement.
+        for (src, printed) in [
+            ("BIG = 1e400\n", "BIG = 1e999\n"),
+            ("SMALL = -1e400\n", "SMALL = -(1e999)\n"),
+            ("x = [1e999, 2.5]\n", "x = [1e999, 2.5]\n"),
+            ("NAME = \"café\"\n", "NAME = \"café\"\n"),
+            ("s = '日本 🦀'\n", "s = \"日本 🦀\"\n"),
+        ] {
+            let program = parse(src).unwrap();
+            let out = unparse(&program);
+            assert_eq!(out, printed, "{src}");
+            assert_eq!(parse(&out).unwrap(), program, "{src}");
+        }
+    }
+
+    #[test]
     fn parse_expr_accepts_single_expression() {
         let e = parse_expr("{\"x\": [1, 2, 3]}").unwrap();
         assert!(matches!(e, Expr::Dict(_)));

@@ -24,13 +24,14 @@ pub fn live_namespaces() -> usize {
 
 /// Counts its owning [`NsMap`] in [`live_namespaces`]; a zero-sized no-op
 /// in release builds. The private field keeps every construction going
-/// through `Default`, which counts.
+/// through `Default`, which counts in debug builds.
 #[derive(Debug)]
+#[cfg_attr(not(debug_assertions), derive(Default))]
 struct LiveToken(());
 
+#[cfg(debug_assertions)]
 impl Default for LiveToken {
     fn default() -> Self {
-        #[cfg(debug_assertions)]
         LIVE_NAMESPACES.with(|c| c.set(c.get() + 1));
         LiveToken(())
     }

@@ -247,3 +247,62 @@ fn del_of_a_subscript_removes_the_item_or_raises_a_typed_error() {
     }
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Trim an app whose handler reads `util.<attr>`, with `line` added to
+/// the package: the trim must succeed, and the kept package text is
+/// returned, with what `run` prints for the trimmed app.
+fn trim_with_package_line(tag: &str, line: &str, attr: &str) -> (String, String) {
+    let dir = fixture(tag);
+    fs::write(
+        dir.join("packages/util.py"),
+        format!("{line}\ndef double(x):\n    return x * 2\ndef unused():\n    return 0\n"),
+    )
+    .unwrap();
+    fs::write(
+        dir.join("app.py"),
+        format!("import util\ndef handler(event, context):\n    v = util.{attr}\n    return [len(str(v)), v]\n"),
+    )
+    .unwrap();
+    let out = lambda_trim(&dir, &["trim", "--oracle", "oracle.txt", "--out", "out"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{line}: {stderr}");
+    let kept = fs::read_to_string(dir.join("out/util.py")).expect("trim wrote the package");
+    let run = Command::new(env!("CARGO_BIN_EXE_lambda-trim"))
+        .current_dir(&dir)
+        .args([
+            "run",
+            "--app",
+            "out/app.py",
+            "--packages",
+            "out",
+            "--event",
+            "{\"n\": 3}",
+        ])
+        .output()
+        .expect("lambda-trim runs");
+    assert_eq!(
+        run.status.code(),
+        Some(0),
+        "{line}: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let _ = fs::remove_dir_all(&dir);
+    (
+        kept,
+        String::from_utf8_lossy(&run.stdout).trim_end().to_owned(),
+    )
+}
+
+#[test]
+fn a_package_binding_an_infinite_float_trims() {
+    let (kept, run) = trim_with_package_line("inf", "BIG = 1e400", "BIG");
+    assert_eq!(kept, "BIG = 1e999\n");
+    assert_eq!(run, "=> [3, inf]");
+}
+
+#[test]
+fn a_package_binding_a_non_ascii_string_trims() {
+    let (kept, run) = trim_with_package_line("utf8", "NAME = \"café\"", "NAME");
+    assert_eq!(kept, "NAME = \"café\"\n");
+    assert_eq!(run, "=> [4, \"café\"]");
+}

@@ -44,9 +44,12 @@ const UPDATE_KINDS: usize = 4;
 /// The line every corpus handler starts with.
 const HANDLER: &str = "def handler(event, context):\n";
 
-/// Oracle runs the 21 retrims start.
+/// Oracle runs the 21 retrims start: the baseline's run record answers
+/// every probe, verify and slice probe of a logged module the updated app
+/// never reads, and DD's last passing probe answers each verify (587 runs
+/// when retrims had a loop of their own, without records or verifies).
 #[cfg(debug_assertions)]
-const RETRIM_RUNS: u64 = 587;
+const RETRIM_RUNS: u64 = 501;
 
 /// The update perfbench's `retrim-update` applies to `app` at `seed`.
 fn update_kind(seed: u64, app: &str) -> usize {
