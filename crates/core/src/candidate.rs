@@ -753,6 +753,10 @@ mod tests {
         assert!(refused.message.contains("statement 1"), "{refused}");
         r.set_module("m", "x = 1\ny = \"a b\"\n");
         assert!(ModuleIndex::new(&r, "m").is_ok());
+        // `1e300` prints as a 301-digit literal that parses back to the
+        // same float.
+        r.set_module("m", "x = 1\ny = 1e300\n");
+        assert!(ModuleIndex::new(&r, "m").is_ok());
     }
 
     #[test]

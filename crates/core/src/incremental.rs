@@ -133,6 +133,7 @@ mod tests {
     use crate::debloater::Algorithm;
     use crate::oracle::TestCase;
     use crate::pipeline::trim_app;
+    use trim_analysis::AnalysisMode;
 
     fn registry() -> Registry {
         let mut r = Registry::new();
@@ -242,26 +243,57 @@ mod tests {
     }
 
     #[test]
-    fn a_retrim_runs_the_configured_algorithm() {
+    fn a_retrim_runs_the_configured_algorithm_and_analysis() {
         let greedy = DebloatOptions {
             algorithm: Algorithm::Greedy,
             ..DebloatOptions::default()
         };
-        let cold = trim_app(&registry(), APP_V1, &spec(), &greedy).unwrap();
-        // A log that keeps every attribute: the seed passes, and DD
-        // searches every candidate, as the cold trim did.
-        let toolkit = &cold.modules[0];
-        let mut log = TrimLog::default();
-        for attr in toolkit.kept.iter().chain(&toolkit.removed) {
-            log.require("toolkit", attr);
-        }
-        let stats = |options: &DebloatOptions| {
-            let warm = retrim_with_log(&registry(), APP_V1, &spec(), &log, options).unwrap();
-            assert_eq!(warm.seeded_modules, 1);
-            warm.modules[0].dd_stats
+        // `toolkit` imports two names from `toolkit.core`: the
+        // interprocedural analysis keeps them in `toolkit.core` without a
+        // probe, the app-only analysis leaves them to DD.
+        let mut layered = Registry::new();
+        layered.set_module(
+            "toolkit",
+            "from toolkit.core import helper, spare\ndef alpha(x):\n    return helper(x) + 1\n",
+        );
+        layered.set_module(
+            "toolkit.core",
+            "__lt_work__(50)\ndef helper(x):\n    return x\ndef spare(x):\n    return x\ndef other(x):\n    return x\n",
+        );
+        let app_only = DebloatOptions {
+            analysis: AnalysisMode::AppOnly,
+            ..DebloatOptions::default()
         };
-        assert_eq!(stats(&greedy), toolkit.dd_stats);
-        assert_ne!(stats(&DebloatOptions::default()), toolkit.dd_stats);
+        for (r, options) in [(registry(), greedy), (layered, app_only)] {
+            let cold = trim_app(&r, APP_V1, &spec(), &options).unwrap();
+            // A log that keeps every attribute, in the cold trim's module
+            // order: each seed passes, and DD searches every candidate, as
+            // the cold trim did.
+            let mut log = TrimLog::default();
+            for m in &cold.modules {
+                for attr in m.kept.iter().chain(&m.removed) {
+                    log.require(&m.module, attr);
+                }
+            }
+            assert!(log.kept.keys().eq(cold.modules.iter().map(|m| &m.module)));
+            let searched = |modules: &[ModuleReport]| -> Vec<_> {
+                modules
+                    .iter()
+                    .map(|m| (m.dd_stats, m.kept.clone()))
+                    .collect()
+            };
+            let retrim = |options: &DebloatOptions| {
+                let warm = retrim_with_log(&r, APP_V1, &spec(), &log, options).unwrap();
+                assert_eq!(warm.seeded_modules, cold.modules.len());
+                searched(&warm.modules)
+            };
+            assert_eq!(retrim(&options), searched(&cold.modules), "{options:?}");
+            assert_ne!(
+                retrim(&DebloatOptions::default()),
+                searched(&cold.modules),
+                "{options:?}"
+            );
+        }
     }
 
     /// The baseline's run record answers every run over a logged module
