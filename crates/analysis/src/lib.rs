@@ -1058,4 +1058,37 @@ mod tests {
         let scratch = analyze_full(&p, &r, &AnalysisOptions::default());
         assert_same_full(&scratch, &incremental);
     }
+
+    #[test]
+    fn modules_nested_to_the_parser_limit_analyze_on_a_test_thread() {
+        // pylite refuses nesting past a fixed depth. Whatever it accepts
+        // must analyze, as an app and as a library module, on a 2 MB
+        // stack: a debug test thread's.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let around = |n: usize, open: &str, close: &str| {
+                    format!("x = {}1{}\n", open.repeat(n), close.repeat(n))
+                };
+                let n = (1..1000)
+                    .take_while(|&n| parse(&around(n, "(", ")")).is_ok())
+                    .last()
+                    .unwrap();
+                assert!(n < 999, "pylite has no nesting limit");
+                for src in [
+                    around(n, "(", ")"),
+                    around(n, "[", "]"),
+                    around(n, "{1: ", "}"),
+                    "def f(a):\n    return a\n".to_owned() + &around(n, "f(", ")"),
+                    around(n, "- ", ""),
+                ] {
+                    let registry = registry_src(&[("deep", &src)]);
+                    let a = full(&format!("import deep\n{src}"), &registry);
+                    assert!(a.analysis.imported_modules.contains("deep"));
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
 }

@@ -3,6 +3,7 @@
 //! head-to-head checks against the baseline debloaters.
 
 use lambda_trim::{trim_app, DebloatOptions};
+use pylite::ast::{Expr, Stmt};
 use trim_core::{run_app, run_app_profiled};
 use trim_profiler::{profile_app, Profile};
 
@@ -362,5 +363,185 @@ fn baseline_profile_equals_profile_app_on_every_corpus_app() {
         let profiled = profile_app(&app.app_source, &app.registry).expect("corpus app profiles");
         assert_eq!(bits(&baseline), bits(&profiled), "{}", app.name);
         assert!(!baseline.modules.is_empty(), "{}", app.name);
+    }
+}
+
+/// Every list in every parsed corpus module is allocated at its exact
+/// length: the parser builds each list once, with no spare capacity, so
+/// the trees the registry keeps for a whole trim hold nothing unused.
+#[test]
+fn parsed_corpus_trees_hold_every_list_at_its_length() {
+    let mut walk = ExactLists::default();
+    for app in trim_apps::corpus() {
+        for module in app.registry.module_names() {
+            walk.at = format!("{}/{module}", app.name);
+            walk.stmts(&app.registry.parse_module(&module).expect("parses").body);
+        }
+        walk.at = format!("{}/app", app.name);
+        walk.stmts(&pylite::parse(&app.app_source).expect("parses").body);
+    }
+    assert!(walk.lists > 50_000, "{} lists", walk.lists);
+}
+
+/// A walk over a syntax tree asserting `capacity() == len()` of each list.
+#[derive(Default)]
+struct ExactLists {
+    at: String,
+    lists: usize,
+}
+
+impl ExactLists {
+    fn list<T>(&mut self, v: &Vec<T>) {
+        assert_eq!(v.capacity(), v.len(), "{}: a list of {}", self.at, v.len());
+        self.lists += 1;
+    }
+
+    fn stmts(&mut self, body: &Vec<Stmt>) {
+        self.list(body);
+        for stmt in body {
+            self.stmt(stmt);
+        }
+    }
+
+    fn stmt(&mut self, stmt: &Stmt) {
+        match stmt {
+            Stmt::Expr(e) | Stmt::Del(e) => self.expr(e),
+            Stmt::Return(e) | Stmt::Raise(e) => e.iter().for_each(|e| self.expr(e)),
+            Stmt::Assign { targets, value } => {
+                self.exprs(targets);
+                self.expr(value);
+            }
+            Stmt::AugAssign { target, value, .. } => {
+                self.expr(target);
+                self.expr(value);
+            }
+            Stmt::If { branches, orelse } => {
+                self.list(branches);
+                for (test, body) in branches {
+                    self.expr(test);
+                    self.stmts(body);
+                }
+                self.stmts(orelse);
+            }
+            Stmt::While { test, body } => {
+                self.expr(test);
+                self.stmts(body);
+            }
+            Stmt::For {
+                targets,
+                iter,
+                body,
+            } => {
+                self.list(targets);
+                self.expr(iter);
+                self.stmts(body);
+            }
+            Stmt::FuncDef(f) => {
+                self.list(&f.params);
+                for p in &f.params {
+                    p.default.iter().for_each(|d| self.expr(d));
+                }
+                self.stmts(&f.body);
+            }
+            Stmt::ClassDef(c) => {
+                self.list(&c.bases);
+                self.stmts(&c.body);
+            }
+            Stmt::Import { items } => self.list(items),
+            Stmt::FromImport { names, .. } => self.list(names),
+            Stmt::Try {
+                body,
+                handlers,
+                orelse,
+                finalbody,
+            } => {
+                self.stmts(body);
+                self.list(handlers);
+                for h in handlers {
+                    self.stmts(&h.body);
+                }
+                self.stmts(orelse);
+                self.stmts(finalbody);
+            }
+            Stmt::Global(names) => self.list(names),
+            Stmt::Assert { test, msg } => {
+                self.expr(test);
+                msg.iter().for_each(|m| self.expr(m));
+            }
+            Stmt::Pass | Stmt::Break | Stmt::Continue => {}
+        }
+    }
+
+    fn exprs(&mut self, items: &Vec<Expr>) {
+        self.list(items);
+        for e in items {
+            self.expr(e);
+        }
+    }
+
+    fn expr(&mut self, e: &Expr) {
+        match e {
+            Expr::List(items) | Expr::Tuple(items) | Expr::Bool { values: items, .. } => {
+                self.exprs(items)
+            }
+            Expr::Dict(pairs) => {
+                self.list(pairs);
+                for (k, v) in pairs {
+                    self.expr(k);
+                    self.expr(v);
+                }
+            }
+            Expr::Call { func, args, kwargs } => {
+                self.expr(func);
+                self.exprs(args);
+                self.list(kwargs);
+                kwargs.iter().for_each(|(_, v)| self.expr(v));
+            }
+            Expr::Compare { left, ops } => {
+                self.expr(left);
+                self.list(ops);
+                ops.iter().for_each(|(_, r)| self.expr(r));
+            }
+            Expr::ListComp {
+                element,
+                targets,
+                iter,
+                cond,
+            } => {
+                self.expr(element);
+                self.list(targets);
+                self.expr(iter);
+                cond.iter().for_each(|c| self.expr(c));
+            }
+            Expr::Attribute { value, .. } | Expr::Unary { operand: value, .. } => self.expr(value),
+            Expr::Subscript {
+                value,
+                index: other,
+            }
+            | Expr::Binary {
+                left: value,
+                right: other,
+                ..
+            } => {
+                self.expr(value);
+                self.expr(other);
+            }
+            Expr::Conditional { test, body, orelse } => {
+                self.expr(test);
+                self.expr(body);
+                self.expr(orelse);
+            }
+            Expr::Slice { value, start, stop } => {
+                self.expr(value);
+                start.iter().chain(stop).for_each(|b| self.expr(b));
+            }
+            Expr::None
+            | Expr::True
+            | Expr::False
+            | Expr::Int(_)
+            | Expr::Float(_)
+            | Expr::Str(_)
+            | Expr::Name(_) => {}
+        }
     }
 }
